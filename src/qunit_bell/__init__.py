@@ -14,9 +14,11 @@ from .bases import (
 )
 from .functional import (
     BellFunctional,
+    BellSetup,
     JointClickTable,
     ValueLayout,
     bell_operator,
+    bell_setup,
     build_functional,
     build_layout,
     evaluate,

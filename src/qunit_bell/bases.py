@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import projector
-
 
 def _check_dim(N: int) -> int:
     N = int(N)
@@ -97,21 +95,19 @@ def basis_pair(N: int) -> BasisPair:
 
 
 def intermediate_family(N: int) -> IntermediateFamily:
+    """All N^2 states m_ij at once, with the same arithmetic as intermediate_state."""
     N = _check_dim(N)
-    states = np.empty((N, N, N), dtype=complex)
-    phases = np.empty((N, N))
-    for i in range(N):
-        for j in range(N):
-            states[i, j] = intermediate_state(i, j, N)
-            phases[i, j] = overlap_phase(i, j, N)
+    k = np.arange(N)
+    phases = 2.0 * np.pi * k[:, None] * k[None, :] / N
+    a_i = np.eye(N, dtype=complex)[:, None, :]
+    states = (np.exp(1j * phases)[:, :, None] * a_i + fourier_basis(N)[None, :, :]) / np.sqrt(
+        normalization_constant(N)
+    )
     return IntermediateFamily(N, states, normalization_constant(N), phases)
 
 
 def povm_defect(family: IntermediateFamily) -> float:
     """Max-entry deviation of sum_ij (1/N)|m_ij><m_ij| from the identity."""
     N = family.dim
-    total = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            total += projector(family.states[i, j]) / N
+    total = np.einsum("ija,ijb->ab", family.states, family.states.conj()) / N
     return float(np.abs(total - np.eye(N)).max())

@@ -60,7 +60,7 @@ def load_state_file(path: str, expected_dim: int) -> np.ndarray:
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValueError(f"state file {path} must contain a JSON object")
@@ -68,6 +68,8 @@ def load_state_file(path: str, expected_dim: int) -> np.ndarray:
         if field not in document:
             raise ValueError(f"state file {path} is missing the {field!r} field")
     local_dim = document["local_dim"]
+    if type(local_dim) is not int:  # 3.0 == 3, and bool is an int subclass
+        raise ValueError(f"state file local_dim must be an integer, got {local_dim!r}")
     if local_dim != expected_dim:
         raise ValueError(
             f"state file local_dim {local_dim} does not match --dim {expected_dim}"
@@ -78,6 +80,8 @@ def load_state_file(path: str, expected_dim: int) -> np.ndarray:
         data = np.asarray(document["data"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"state file data is not numeric: {exc}") from exc
+    if any(isinstance(x, bool) for x in np.asarray(document["data"], dtype=object).flat):
+        raise ValueError("state file data is not numeric: it contains booleans")
     if kind == "ket":
         if data.shape != (d, 2):
             raise ValueError(

@@ -26,11 +26,12 @@ cannot exceed 2.  At N=2 this is the CHSH inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bases import _check_dim, computational_basis, fourier_basis, intermediate_family
-from .linalg import projector, validate_density_matrix
+from .linalg import validate_density_matrix
 
 SETTING_A = 0
 SETTING_A_PRIME = 1
@@ -73,25 +74,34 @@ class JointClickTable:
     probabilities: np.ndarray
 
 
+@dataclass(frozen=True)
+class BellSetup:
+    """What B_N needs at one N, built once by bell_setup; every array is read-only.
+
+    alice[x, u] is Alice's ket u of setting x, bob[v, j] the state in slot
+    (v, j), i.e. m_{v,(v+j) mod N}, and operator is W: B_N(rho) = Tr(rho W).
+    """
+
+    dim: int
+    alice: np.ndarray
+    bob: np.ndarray
+    coefficients: np.ndarray
+    operator: np.ndarray
+
+
 def build_layout(N: int) -> ValueLayout:
     """Map slot (value v, group j) to the state index pair (v, (v+j) mod N)."""
     N = _check_dim(N)
-    assignment = np.empty((N, N, 2), dtype=int)
-    for v in range(N):
-        for j in range(N):
-            assignment[v, j] = (v, (v + j) % N)
-    return ValueLayout(N, assignment)
+    v, j = np.ogrid[:N, :N]
+    return ValueLayout(N, np.stack(np.broadcast_arrays(v, (v + j) % N), axis=-1))
 
 
 def build_functional(N: int) -> BellFunctional:
     """Coefficients +1 on the correlated slot of each (setting, outcome, group)."""
     N = _check_dim(N)
-    c = np.full((2, N, N, N), -1, dtype=np.int8)
-    for u in range(N):
-        for j in range(N):
-            c[SETTING_A, u, u, j] = 1
-            c[SETTING_A_PRIME, u, (-u - j) % N, j] = 1
-    return BellFunctional(N, c)
+    u, v, j = np.ogrid[:N, :N, :N]
+    correlated = np.stack(np.broadcast_arrays(v == u, v == (-u - j) % N))
+    return BellFunctional(N, correlated.astype(np.int8) * 2 - 1)
 
 
 def max_entangled_state(N: int) -> np.ndarray:
@@ -102,30 +112,46 @@ def max_entangled_state(N: int) -> np.ndarray:
     return psi
 
 
-def _alice_settings(N: int) -> np.ndarray:
-    """Alice's two bases stacked as rows: shape (2, N, N)."""
-    return np.stack([computational_basis(N), fourier_basis(N)])
+@lru_cache(maxsize=8)
+def bell_setup(N: int) -> BellSetup:
+    """Setup for N, with W = sum_xu |a^x_u><a^x_u| (x) sum_vj c[x,u,v,j] |m_vj><m_vj|."""
+    N = _check_dim(N)
+    alice = np.stack([computational_basis(N), fourier_basis(N)])
+    assignment = build_layout(N).assignment
+    bob = intermediate_family(N).states[assignment[..., 0], assignment[..., 1]]
+    c = build_functional(N).coefficients
+    alice_proj = np.einsum("xua,xuc->xuac", alice, alice.conj())
+    bob_part = np.einsum("xuvj,vjb,vjd->xubd", c, bob, bob.conj())
+    operator = np.einsum("xuac,xubd->abcd", alice_proj, bob_part).reshape(N * N, N * N)
+    for array in (alice, bob, c, operator):
+        array.flags.writeable = False
+    return BellSetup(N, alice, bob, c, operator)
 
 
-def joint_click_table(rho: np.ndarray, layout: ValueLayout) -> JointClickTable:
-    """Born-rule table p[x, u, v, j] = Tr(rho (P_u^x  x  P_m)) for state rho.
-
-    Alice occupies the first (slowest) tensor factor.
-    """
-    N = layout.dim
+def _validated_state(rho: np.ndarray, N: int) -> np.ndarray:
     rho = validate_density_matrix(rho)
     if rho.shape != (N * N, N * N):
         raise ValueError(
             f"state has dimension {rho.shape[0]}, expected {N * N} for local dimension {N}"
         )
-    m_flat = intermediate_family(N).states.reshape(N * N, N)
-    slot = layout.assignment[:, :, 0] * N + layout.assignment[:, :, 1]  # (v, j) -> flat m index
-    probs = np.empty((2, N, N, N))
-    for x, alice in enumerate(_alice_settings(N)):
-        joint = np.kron(alice, m_flat)  # rows u*N^2 + s are the kets a_u x m_s
-        p = np.einsum("ij,jk,ik->i", joint.conj(), rho, joint).real
-        probs[x] = p.reshape(N, N * N)[:, slot]
-    return JointClickTable(N, probs)
+    return rho
+
+
+def joint_click_table(rho: np.ndarray, layout: ValueLayout) -> JointClickTable:
+    """Born-rule table p[x, u, v, j] = Tr(rho (P_u^x  x  P_m)), Alice's factor first.
+
+    Slots follow build_layout.  Contracting Alice's kets into rho's (N, N, N, N)
+    blocks first, then Bob's, takes O(N^5) work.
+    """
+    N = layout.dim
+    setup = bell_setup(N)
+    rho = _validated_state(rho, N)
+    bob = setup.bob.reshape(N * N, N)  # row s = v*N + j
+    # rows[x, u, b, c, d] = sum_a conj(alice[x, u, a]) rho[(a, b), (c, d)]
+    rows = (setup.alice.conj() @ rho.reshape(N, N**3)).reshape(2, N, N, N, N)
+    conditional = np.einsum("xubcd,xuc->xubd", rows, setup.alice)  # Bob's state given (x, u)
+    probs = np.einsum("sb,xubs->xus", bob.conj(), conditional @ bob.T).real
+    return JointClickTable(N, probs.reshape(2, N, N, N))
 
 
 def evaluate(functional: BellFunctional, table: JointClickTable) -> float:
@@ -138,26 +164,12 @@ def evaluate(functional: BellFunctional, table: JointClickTable) -> float:
 
 
 def quantum_value(rho: np.ndarray, N: int) -> float:
-    """B_N of a (possibly mixed) state on the N^2-dimensional joint space."""
+    """B_N = Tr(rho W) of a (possibly mixed) state on the N^2-dimensional joint space."""
     N = _check_dim(N)
-    return evaluate(build_functional(N), joint_click_table(rho, build_layout(N)))
+    rho = _validated_state(rho, N)
+    return float(np.vdot(bell_setup(N).operator, rho).real)
 
 
 def bell_operator(N: int) -> np.ndarray:
-    """Hermitian operator whose expectation reproduces B_N for fixed settings."""
-    N = _check_dim(N)
-    functional = build_functional(N)
-    layout = build_layout(N)
-    m_states = intermediate_family(N).states
-    operator = np.zeros((N * N, N * N), dtype=complex)
-    for x, alice in enumerate(_alice_settings(N)):
-        for u in range(N):
-            bob_part = np.zeros((N, N), dtype=complex)
-            for v in range(N):
-                for j in range(N):
-                    i, l = layout.state_index(v, j)
-                    bob_part += int(functional.coefficients[x, u, v, j]) * projector(
-                        m_states[i, l]
-                    )
-            operator += np.kron(projector(alice[u]), bob_part)
-    return operator
+    """Hermitian operator W whose expectation reproduces B_N for fixed settings."""
+    return bell_setup(_check_dim(N)).operator.copy()

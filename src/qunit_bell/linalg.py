@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Tolerance ladder: algebraic identities, eigen-residuals, optimizer acceptance.
+# Tolerance ladder: algebraic identities, eigen-residuals.
 ATOL_ALGEBRA = 1e-10
 ATOL_EIGEN = 1e-8
-ATOL_ACCEPT = 1e-6
 
 # How far a "normalized" input ket may deviate from unit norm before rejection.
 NORM_REJECT = 1e-8

@@ -8,6 +8,8 @@ import pytest
 from qunit_bell.bases import intermediate_family
 from qunit_bell.cli import main
 from qunit_bell.functional import max_entangled_state
+from qunit_bell.linalg import projector
+from qunit_bell.montecarlo import ExperimentPlan, run
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +174,33 @@ def test_quantum_value_ket_file(tmp_path, capsys):
             ),
             "not numeric",
         ),
+        pytest.param(
+            lambda p: p.write_text("[" * 100000 + "]" * 100000),
+            "not valid JSON",
+            id="deeply-nested-json",
+        ),
+        pytest.param(
+            lambda p: write_state(p, 3.0, "ket", ket_payload(max_entangled_state(3))),
+            "must be an integer",
+            id="float-local-dim",
+        ),
+        pytest.param(
+            lambda p: write_state(p, True, "ket", ket_payload(max_entangled_state(3))),
+            "must be an integer",
+            id="bool-local-dim",
+        ),
+        pytest.param(
+            lambda p: write_state(p, 3, "ket", [[True, False]] + [[0, 0]] * 8),
+            "booleans",
+            id="bool-in-ket-data",
+        ),
+        pytest.param(
+            lambda p: write_state(
+                p, 3, "density", [[[True, 0]] + [[0, 0]] * 8] + density_payload(np.zeros((8, 9)))
+            ),
+            "booleans",
+            id="bool-in-density-data",
+        ),
     ),
 )
 def test_state_file_diagnostics(tmp_path, capsys, mutate, needle):
@@ -299,6 +328,16 @@ def test_sample_report(capsys):
     counts = np.asarray(report["counts"])
     assert counts.shape == (2, 3, 3, 3, 2)
     assert np.all(counts.sum(axis=(1, 4)) == 200000)
+
+
+def test_sample_matches_library_run(capsys):
+    code, stdout, _ = run_cli(capsys, "sample", "--dim", "3", "--shots", "5000", "--seed", "11")
+    assert code == 0
+    report = json.loads(stdout)
+    result = run(ExperimentPlan(3, projector(max_entangled_state(3)), 5000, 11))
+    assert np.array_equal(np.asarray(report["counts"]), result.counts)
+    assert report["b_estimate"] == result.b_estimate
+    assert report["std_error"] == result.std_error
 
 
 def test_sample_rejects_bad_flags(capsys):

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qunit_bell.bases import computational_basis, fourier_basis, intermediate_family
+from qunit_bell.bases import (
+    computational_basis,
+    fourier_basis,
+    intermediate_family,
+    intermediate_state,
+)
 from qunit_bell.functional import (
     SETTING_A,
     SETTING_A_PRIME,
     JointClickTable,
     bell_operator,
+    bell_setup,
     build_functional,
     build_layout,
     evaluate,
@@ -21,6 +29,124 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def oracle_click_table(rho, N):
+    """Reference table: every joint ket a^x_u (x) m_vj built by kron, O(N^7)."""
+    layout = build_layout(N)
+    m_flat = intermediate_family(N).states.reshape(N * N, N)
+    slot = layout.assignment[:, :, 0] * N + layout.assignment[:, :, 1]  # (v, j) -> flat m index
+    probs = np.empty((2, N, N, N))
+    for x, alice in enumerate((computational_basis(N), fourier_basis(N))):
+        joint = np.kron(alice, m_flat)  # rows u*N^2 + s are the kets a_u x m_s
+        p = np.einsum("ij,jk,ik->i", joint.conj(), rho, joint).real
+        probs[x] = p.reshape(N, N * N)[:, slot]
+    return probs
+
+
+def loop_layout(N):
+    assignment = np.empty((N, N, 2), dtype=int)
+    for v in range(N):
+        for j in range(N):
+            assignment[v, j] = (v, (v + j) % N)
+    return assignment
+
+
+def loop_coefficients(N):
+    c = np.full((2, N, N, N), -1, dtype=np.int8)
+    for u in range(N):
+        for j in range(N):
+            c[SETTING_A, u, u, j] = 1
+            c[SETTING_A_PRIME, u, (-u - j) % N, j] = 1
+    return c
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_broadcast_construction_matches_loops(N):
+    layout = build_layout(N).assignment
+    assert layout.dtype == loop_layout(N).dtype
+    assert np.array_equal(layout, loop_layout(N))
+    c = build_functional(N).coefficients
+    assert c.dtype == np.int8
+    assert np.array_equal(c, loop_coefficients(N))
+    family = intermediate_family(N).states
+    for i in range(N):
+        for j in range(N):
+            assert np.abs(family[i, j] - intermediate_state(i, j, N)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_setup_arrays_are_read_only(N):
+    setup = bell_setup(N)
+    assert setup is bell_setup(N)
+    assert setup.bob.shape == (N, N, N)
+    assert np.array_equal(setup.coefficients, build_functional(N).coefficients)
+    for array in (setup.alice, setup.bob, setup.coefficients, setup.operator):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+def test_mutating_bell_operator_copy_leaves_setup_intact():
+    N = 3
+    rho = projector(max_entangled_state(N))
+    before = quantum_value(rho, N)
+    op = bell_operator(N)
+    op[:] = 0.0
+    assert quantum_value(rho, N) == before
+    assert np.array_equal(bell_operator(N), bell_setup(N).operator)
+
+
+@pytest.mark.parametrize(
+    "rho,needle",
+    (
+        (np.eye(9) / 9, "expected 4"),
+        (np.eye(4), "trace"),
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+    ),
+)
+def test_quantum_value_validates_every_state(rho, needle):
+    bell_setup(2)  # a warm cache must not skip the checks
+    with pytest.raises(ValueError, match=needle):
+        quantum_value(rho, 2)
+
+
+def ginibre_mixture(N, seed, lam):
+    """lam |psi><psi| + (1 - lam) G G^dag / Tr(G G^dag) with G complex Gaussian."""
+    noise = random_density(np.random.default_rng(seed), N * N)
+    return lam * projector(max_entangled_state(N)) + (1.0 - lam) * noise, noise
+
+
+mixtures = dict(
+    N=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**mixtures)
+def test_table_trace_and_oracle_agree(N, seed, lam):
+    rho, _ = ginibre_mixture(N, seed, lam)
+    table = joint_click_table(rho, build_layout(N))
+    oracle = oracle_click_table(rho, N)
+    assert np.abs(table.probabilities - oracle).max() < 1e-10
+    c = build_functional(N).coefficients
+    via_table = evaluate(build_functional(N), table)
+    via_oracle = float(np.sum(c * oracle))
+    via_trace = quantum_value(rho, N)
+    assert abs(via_table - via_trace) < 1e-10
+    assert abs(via_oracle - via_trace) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(**mixtures)
+def test_value_bounded_and_affine_in_mixing_weight(N, seed, lam):
+    rho, noise = ginibre_mixture(N, seed, lam)
+    value = quantum_value(rho, N)
+    assert value <= 2 * np.sqrt(N) + 1e-9
+    pure = quantum_value(projector(max_entangled_state(N)), N)
+    assert abs(value - (lam * pure + (1.0 - lam) * quantum_value(noise, N))) < 1e-10
 
 
 def test_layout_assignments_n3():
