@@ -1,9 +1,7 @@
 """Bell inequality B_N for two quNits with N^2 binary intermediate-state measurements."""
 
 from .bases import (
-    BasisPair,
     IntermediateFamily,
-    basis_pair,
     computational_basis,
     fourier_basis,
     intermediate_family,
@@ -37,7 +35,6 @@ from .linalg import (
     hermitian_eigensystem,
     projector,
     schmidt_spectrum,
-    tensor_product,
     validate_density_matrix,
 )
 from .montecarlo import ExperimentPlan, ExperimentResult, run

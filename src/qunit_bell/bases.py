@@ -68,15 +68,6 @@ def intermediate_state(i: int, j: int, N: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BasisPair:
-    """Computational basis A and Fourier basis A' (rows of each array)."""
-
-    dim: int
-    a_states: np.ndarray
-    a_prime_states: np.ndarray
-
-
-@dataclass(frozen=True)
 class IntermediateFamily:
     """All N^2 intermediate states m_ij with their phases and normalization.
 
@@ -88,10 +79,6 @@ class IntermediateFamily:
     states: np.ndarray
     normalization: float
     phases: np.ndarray
-
-
-def basis_pair(N: int) -> BasisPair:
-    return BasisPair(_check_dim(N), computational_basis(N), fourier_basis(N))
 
 
 def intermediate_family(N: int) -> IntermediateFamily:

@@ -38,6 +38,8 @@ from .noise import (
 )
 
 MAX_SCAN_DIM = 10
+# Largest --dim: the Bell operator alone takes 16 * N^4 bytes, 268 MB at N=64.
+MAX_DIM = 64
 
 _NOISE_KINDS = {"uncolored": KIND_UNCOLORED, "separable": KIND_CLOSEST_SEPARABLE}
 
@@ -52,6 +54,8 @@ def _encode_complex(array: np.ndarray) -> list:
 def _check_dim_flag(N: int) -> int:
     if N < 2:
         raise ValueError(f"--dim must be at least 2, got {N}")
+    if N > MAX_DIM:
+        raise ValueError(f"--dim must be at most {MAX_DIM}, got {N}")
     return N
 
 

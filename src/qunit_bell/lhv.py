@@ -10,17 +10,20 @@ per-measurement decomposition directly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functional import SETTING_A, SETTING_A_PRIME, BellFunctional, build_functional
-from .parallel import worker_count
 
 # Default brute-force cap; N=5 (25 * 2^25 strategies) only behind allow_slow.
 BRUTE_FORCE_MAX_DIM = 4
 BRUTE_FORCE_SLOW_DIM = 5
+
+# The exhaustive search splits a click mask into its low LOW_BITS bits and the
+# rest, and scores the masks HIGH_BLOCK high rows at a time: 1 MiB of int8.
+LOW_BITS = 14
+HIGH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -72,18 +75,33 @@ def strategy_value(strategy: DeterministicStrategy, functional: BellFunctional) 
     return total
 
 
-def _best_mask_exhaustive(gains: np.ndarray) -> tuple[int, int]:
-    """Value and mask of the best click pattern, by enumerating all of them.
+def _subset_sums(gains: np.ndarray) -> np.ndarray:
+    """Value of every mask over `gains` in binary order: mask m is worth m
+    without its top bit, plus that bit's gain."""
+    values = np.zeros(1 << gains.shape[0], dtype=np.int8)
+    for b, gain in enumerate(gains):
+        values[1 << b : 2 << b] = values[: 1 << b] + np.int8(gain)
+    return values
 
-    Walks the masks in binary order: the value of mask m is the value of m
-    with its top bit cleared, plus that bit's gain.
+
+def _best_mask_exhaustive(gains: np.ndarray) -> tuple[int, int]:
+    """Value and smallest mask of the best click pattern, by scoring all of them.
+
+    Mask (h << LOW_BITS) | l is worth high[h] + low[l]; every such sum is
+    formed, one cache-sized block of high rows at a time, in one reused buffer.
     """
-    bits = gains.shape[0]
-    values = np.zeros(1 << bits, dtype=np.int8)
-    for b in range(bits):
-        values[1 << b : 2 << b] = values[: 1 << b] + np.int8(gains[b])
-    best = int(np.argmax(values))
-    return int(values[best]), best
+    low_bits = min(gains.shape[0], LOW_BITS)
+    low = _subset_sums(gains[:low_bits])
+    high = _subset_sums(gains[low_bits:])
+    rows = min(HIGH_BLOCK, high.shape[0])  # both powers of two, so blocks tile high
+    block = np.empty((rows, low.shape[0]), dtype=np.int8)
+    best_value, best_mask = None, 0
+    for start in range(0, high.shape[0], rows):
+        np.add(high[start : start + rows, None], low, out=block)
+        flat = int(np.argmax(block))  # row-major, so this is the mask's offset
+        if best_value is None or block.flat[flat] > best_value:
+            best_value, best_mask = int(block.flat[flat]), (start << low_bits) + flat
+    return best_value, best_mask
 
 
 def bruteforce_bound_with_witness(
@@ -97,19 +115,12 @@ def bruteforce_bound_with_witness(
             f"{'' if allow_slow else ' (N=5 requires allow_slow)'}, got {N}"
         )
     functional = build_functional(N)
-    pairs = [(a, ap) for a in range(N) for ap in range(N)]
 
-    def scan(pair: tuple[int, int]) -> tuple[int, int, int, int]:
-        value, mask = _best_mask_exhaustive(click_gains(*pair, functional))
-        return value, pair[0], pair[1], mask
+    def scan(alpha: int, alpha_prime: int) -> tuple[int, int, int, int]:
+        value, mask = _best_mask_exhaustive(click_gains(alpha, alpha_prime, functional))
+        return value, alpha, alpha_prime, mask
 
-    workers = worker_count()
-    if N >= BRUTE_FORCE_SLOW_DIM and workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(pairs))) as pool:
-            results = list(pool.map(scan, pairs))
-    else:
-        results = [scan(pair) for pair in pairs]
-    value, alpha, alpha_prime, mask = max(results)
+    value, alpha, alpha_prime, mask = max(scan(a, ap) for a in range(N) for ap in range(N))
     return value, DeterministicStrategy(N, alpha, alpha_prime, mask)
 
 

@@ -29,11 +29,6 @@ def hermiticity_defect(op: np.ndarray) -> float:
     return float(np.abs(op - op.conj().T).max())
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor's index varying slowest."""
-    return np.kron(_as_complex(a), _as_complex(b))
-
-
 def projector(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of a normalized ket."""
     v = _as_complex(v)

@@ -53,9 +53,8 @@ def test_criterion_1_quantum_maximum(capsys):
     )
 
 
-def test_criterion_2_lhv_bound(capsys, monkeypatch):
+def test_criterion_2_lhv_bound(capsys):
     greedy = [lhv_bound_greedy(N) for N in range(2, 11)]
-    monkeypatch.setenv("QUNIT_BELL_THREADS", "1")  # brute-force timing on one core
     t0 = time.perf_counter()
     brute = [lhv_bound_bruteforce(N) for N in range(2, 5)]
     elapsed = time.perf_counter() - t0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qunit_bell.bases import (
-    basis_pair,
     computational_basis,
     fourier_basis,
     intermediate_family,
@@ -158,13 +157,6 @@ def test_intermediate_midpoint_property():
 def test_intermediate_index_errors():
     with pytest.raises(ValueError, match="out of range"):
         intermediate_state(0, 4, 4)
-
-
-def test_basis_pair_fields():
-    pair = basis_pair(4)
-    assert pair.dim == 4
-    assert np.array_equal(pair.a_states, computational_basis(4))
-    assert np.allclose(pair.a_prime_states, fourier_basis(4))
 
 
 def test_family_fields_and_normalization():

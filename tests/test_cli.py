@@ -83,6 +83,26 @@ def test_construct_rejects_dim_one(tmp_path, capsys):
     assert stderr.strip().count("\n") == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--out", "never-written.json"),
+        ("quantum-value",),
+        ("lhv", "--brute-force"),
+        ("noise", "--kind", "uncolored"),
+        ("sample", "--shots", "10", "--seed", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_oversized_dim_rejected_before_allocation(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, argv[0], "--dim", "100000", *argv[1:])
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: --dim must be at most 64, got 100000\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_unwritable_path(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "construct", "--dim", "2", "--out", str(tmp_path / "no" / "dir" / "x.json")

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qunit_bell.functional import build_functional, quantum_value
 from qunit_bell.lhv import (
+    LOW_BITS,
     DeterministicStrategy,
+    _best_mask_exhaustive,
     bruteforce_bound_with_witness,
     click_gains,
     greedy_bound_with_witness,
@@ -12,6 +16,16 @@ from qunit_bell.lhv import (
     strategy_value,
 )
 from qunit_bell.linalg import projector
+
+
+def reference_best_mask(gains):
+    """Reference search: one array of all 2^bits mask values, then argmax."""
+    bits = gains.shape[0]
+    values = np.zeros(1 << bits, dtype=np.int8)
+    for b in range(bits):
+        values[1 << b : 2 << b] = values[: 1 << b] + np.int8(gains[b])
+    best = int(np.argmax(values))
+    return int(values[best]), best
 
 
 def test_strategy_validation():
@@ -61,6 +75,33 @@ def test_bruteforce_bound(N):
     assert strategy_value(witness, build_functional(N)) == 2
 
 
+@pytest.mark.parametrize(
+    "N, alpha, alpha_prime, clicks",
+    [(2, 1, 1, 0x4), (3, 2, 2, 0x100), (4, 3, 3, 0x4000), (5, 4, 4, 0x400000)],
+)
+def test_bruteforce_witness_pinned(N, alpha, alpha_prime, clicks):
+    assert bruteforce_bound_with_witness(N, allow_slow=True) == (
+        2,
+        DeterministicStrategy(N, alpha, alpha_prime, clicks),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gains=st.integers(1, 22).flatmap(
+        lambda bits: st.lists(st.sampled_from((-2, 0, 2)), min_size=bits, max_size=bits)
+    )
+)
+@example(gains=[0])
+@example(gains=[0] * LOW_BITS)
+@example(gains=[0] * (LOW_BITS + 1))
+@example(gains=[0] * 22)
+@example(gains=[-2] * 20 + [2, 2])
+def test_blocked_search_matches_reference(gains):
+    gains = np.asarray(gains, dtype=np.int64)
+    assert _best_mask_exhaustive(gains) == reference_best_mask(gains)
+
+
 @pytest.mark.parametrize("N", range(2, 11))
 def test_greedy_bound(N):
     bound, witness = greedy_bound_with_witness(N)
@@ -97,14 +138,16 @@ def test_greedy_witness_clicks_only_positive_gains():
 
 def test_random_strategy_values_even_and_bounded():
     rng = np.random.default_rng(61)
-    for N in (2, 3, 4):
+    for N in range(2, 11):
         f = build_functional(N)
         for _ in range(50):
+            # 2^(N*N) overflows int64 from N=8 on, so draw the mask bit by bit
+            bits = rng.integers(2, size=N * N)
             s = DeterministicStrategy(
                 N,
                 int(rng.integers(N)),
                 int(rng.integers(N)),
-                int(rng.integers(1 << (N * N))),
+                sum(int(bit) << b for b, bit in enumerate(bits)),
             )
             value = strategy_value(s, f)
             assert value % 2 == 0
@@ -121,10 +164,3 @@ def test_bound_dominates_product_states():
             psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
             assert quantum_value(projector(psi), N) <= bound + 1e-9
 
-
-def test_thread_count_does_not_change_result(monkeypatch):
-    results = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("QUNIT_BELL_THREADS", threads)
-        results.append(bruteforce_bound_with_witness(5, allow_slow=True))
-    assert results[0] == results[1]

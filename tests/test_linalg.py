@@ -8,7 +8,6 @@ from qunit_bell.linalg import (
     hermitian_eigensystem,
     projector,
     schmidt_spectrum,
-    tensor_product,
     validate_density_matrix,
 )
 
@@ -22,41 +21,6 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def test_tensor_identity():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_projector_placement():
-    # first factor varies slowest: diag(1,0) x diag(0,1) puts the 1 at index 1
-    left = np.diag([1.0, 0.0])
-    right = np.diag([0.0, 1.0])
-    assert np.array_equal(tensor_product(left, right), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_trace_multiplicative():
-    # oracle: trace of the 9x9 product by direct diagonal summation
-    p_a = projector(computational_basis(3)[0])
-    p_m = projector(intermediate_state(0, 0, 3))
-    prod = tensor_product(p_a, p_m)
-    assert prod.shape == (9, 9)
-    diag_sum = sum(prod[k, k] for k in range(9))
-    assert abs(diag_sum - 1.0) < 1e-12
-
-
-def test_tensor_dim_associative():
-    rng = np.random.default_rng(7)
-    a, b, c = (rng.normal(size=(d, d)) for d in (2, 3, 4))
-    out = tensor_product(a, tensor_product(b, c))
-    assert out.shape == (24, 24)
-    assert np.allclose(out, tensor_product(tensor_product(a, b), c))
-
-
-def test_tensor_rejects_nonfinite():
-    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        tensor_product(bad, np.eye(2))
 
 
 def test_projector_computational():
@@ -99,15 +63,13 @@ def test_expectation_identity():
 def test_expectation_matched_basis_projectors():
     psi = max_entangled_state(3)
     a0 = computational_basis(3)[0]
-    obs = tensor_product(projector(a0), projector(a0))
+    obs = np.kron(projector(a0), projector(a0))
     assert abs(expectation(projector(psi), obs) - 1 / 3) < 1e-12
 
 
 def test_expectation_intermediate_click():
     psi = max_entangled_state(3)
-    obs = tensor_product(
-        projector(computational_basis(3)[0]), projector(intermediate_state(0, 0, 3))
-    )
+    obs = np.kron(projector(computational_basis(3)[0]), projector(intermediate_state(0, 0, 3)))
     want = (1 / 3) * (0.5 + 0.5 / np.sqrt(3))
     assert abs(expectation(projector(psi), obs) - want) < 1e-12
 

@@ -94,11 +94,3 @@ def test_result_fields_round_trip():
     assert np.isfinite(result.b_estimate)
     assert result.std_error >= 0.0
 
-
-def test_thread_count_does_not_change_samples(monkeypatch):
-    runs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("QUNIT_BELL_THREADS", threads)
-        runs.append(run(make_plan(shots=5000, seed=31)))
-    assert np.array_equal(runs[0].counts, runs[1].counts)
-    assert runs[0].b_estimate == runs[1].b_estimate
