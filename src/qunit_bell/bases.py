@@ -9,13 +9,17 @@ sum to the identity, so the family is a POVM.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 
 def _check_dim(N: int) -> int:
-    N = int(N)
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ValueError(f"local dimension must be an integer, got {N}") from None
     if N < 2:
         raise ValueError(f"local dimension must be at least 2, got {N}")
     return N

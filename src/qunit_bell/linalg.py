@@ -15,6 +15,9 @@ ATOL_EIGEN = 1e-8
 # How far a "normalized" input ket may deviate from unit norm before rejection.
 NORM_REJECT = 1e-8
 
+# How far below zero a density matrix's smallest eigenvalue may lie.
+NEGATIVITY_REJECT = 1e-9
+
 
 def _as_complex(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
@@ -90,13 +93,21 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = _as_complex(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if rho.size == 0:
+        raise ValueError(f"density matrix must not be empty, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
     if defect > ATOL_ALGEBRA:
         raise ValueError(f"density matrix is not Hermitian: defect {defect:.3e}")
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
     if trace_dev > ATOL_ALGEBRA:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_dev:.3e}")
-    smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest < -1e-9:
-        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+    # rho + 1e-9 I has a Cholesky factor iff lambda_min(rho) > -1e-9, up to
+    # rounding, at a fraction of an eigensolve's cost.  Only a failed
+    # factorization pays for eigvalsh, which decides and reports the case.
+    try:
+        np.linalg.cholesky(rho + NEGATIVITY_REJECT * np.eye(rho.shape[0]))
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(rho)[0])
+        if smallest < -NEGATIVITY_REJECT:
+            raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}") from None
     return rho

@@ -14,7 +14,6 @@ import numpy as np
 
 from .bases import _check_dim
 from .functional import max_entangled_state, quantum_value
-from .linalg import projector
 
 CLASSICAL_BOUND = 2.0
 
@@ -45,14 +44,18 @@ def mixed_state(family: NoiseFamily) -> np.ndarray:
     """Density matrix of the noisy state on the N^2-dimensional joint space."""
     N = family.dim
     d = N * N
-    pure = projector(max_entangled_state(N))
+    diag = np.arange(N) * (N + 1)  # where |psi> = (1/sqrt(N)) sum_k |kk> is nonzero
+    amplitudes = max_entangled_state(N)[diag]
     if family.kind == KIND_UNCOLORED:
         sigma = np.eye(d, dtype=complex) / d
     else:
         sigma = np.zeros((d, d), dtype=complex)
-        diag = np.arange(N) * (N + 1)
         sigma[diag, diag] = 1.0 / N
-    return family.lam * pure + (1.0 - family.lam) * sigma
+    rho = (1.0 - family.lam) * sigma
+    # |psi><psi| vanishes outside the (diag, diag) block, so adding it there
+    # alone gives lam * |psi><psi| + (1 - lam) * sigma bit for bit.
+    rho[np.ix_(diag, diag)] += family.lam * np.outer(amplitudes, amplitudes.conj())
+    return rho
 
 
 def threshold_closed_form(kind: str, N: int) -> float:

@@ -12,6 +12,7 @@ from qunit_bell.bases import (
     overlap_phase,
     povm_defect,
 )
+from qunit_bell.functional import max_entangled_state, quantum_value
 
 
 def test_computational_n2():
@@ -37,6 +38,22 @@ def test_dimension_rejected():
             computational_basis(bad)
         with pytest.raises(ValueError, match="at least 2"):
             fourier_basis(bad)
+    for bad in (2.7, 3.9, 3.0, np.float64(2.0)):
+        needle = f"local dimension must be an integer, got {bad}"
+        with pytest.raises(ValueError, match=needle):
+            computational_basis(bad)
+        with pytest.raises(ValueError, match=needle):
+            fourier_basis(bad)
+        with pytest.raises(ValueError, match=needle):
+            max_entangled_state(bad)
+        with pytest.raises(ValueError, match=needle):
+            quantum_value(np.eye(4) / 4, bad)
+
+
+@pytest.mark.parametrize("N", (np.int64(3), np.int32(2), np.uint8(4)))
+def test_numpy_integer_dimension_accepted(N):
+    assert computational_basis(N).shape == (int(N), int(N))
+    assert max_entangled_state(N).shape == (int(N) ** 2,)
 
 
 def test_fourier_n2():

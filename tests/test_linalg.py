@@ -181,9 +181,81 @@ def test_validate_density_accepts_random_mixtures():
 def test_validate_density_rejections():
     with pytest.raises(ValueError, match="square"):
         validate_density_matrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="must not be empty"):
+        validate_density_matrix(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="not Hermitian"):
         validate_density_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
         validate_density_matrix(np.eye(2))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         validate_density_matrix(np.diag([1.5, -0.5]))
+
+
+# The reference eigensolve, saved before eigvalsh_calls replaces np.linalg.eigvalsh.
+_eigvalsh = np.linalg.eigvalsh
+
+
+def reference_accepts(rho):
+    return _eigvalsh(rho)[0] >= -1e-9
+
+
+def state_with_smallest_eigenvalue(rng, d, smallest):
+    """Haar-random unitary conjugate of a unit-trace diagonal whose minimum is `smallest`."""
+    rest = rng.uniform(0.1, 1.0, size=d - 1)
+    spectrum = np.concatenate(([smallest], rest * (1.0 - smallest) / rest.sum()))
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    rho = (u * spectrum) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the eigensolves validate_density_matrix falls back to."""
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return _eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def accepts(rho):
+    try:
+        validate_density_matrix(rho)
+    except ValueError as exc:
+        assert "negative eigenvalue" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("d", (4, 9, 16, 36, 64, 100))
+@pytest.mark.parametrize("smallest", (-1e-3, -2e-9, -1.2e-9, -0.8e-9, -5e-10, 0.0, 1e-6))
+def test_positivity_check_matches_eigvalsh(d, smallest, eigvalsh_calls):
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        rho = state_with_smallest_eigenvalue(rng, d, smallest)
+        expected = smallest >= -1e-9
+        assert reference_accepts(rho) == expected
+        eigvalsh_calls.clear()
+        assert accepts(rho) == expected
+        # States clear of the boundary are decided by the factorization alone;
+        # a rejection always comes from the eigensolve, which names the value.
+        assert eigvalsh_calls == ([] if expected else [(d, d)])
+
+
+def test_rejection_reports_smallest_eigenvalue():
+    rho = state_with_smallest_eigenvalue(np.random.default_rng(41), 9, -2e-9)
+    smallest = _eigvalsh(rho)[0]
+    with pytest.raises(ValueError, match=f"negative eigenvalue {smallest:.3e}"):
+        validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_pure_max_entangled_states_accepted(N, eigvalsh_calls):
+    # rank one: all eigenvalues but one are 0, so only the shift lets the factor exist
+    rho = projector(max_entangled_state(N))
+    validate_density_matrix(rho)
+    assert eigvalsh_calls == []

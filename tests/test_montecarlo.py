@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from qunit_bell.functional import max_entangled_state, quantum_value
+from qunit_bell.functional import (
+    build_layout,
+    joint_click_table,
+    max_entangled_state,
+    quantum_value,
+)
 from qunit_bell.linalg import projector
 from qunit_bell.montecarlo import GENERATOR_NAME, ExperimentPlan, ExperimentResult, run
 
@@ -94,3 +99,24 @@ def test_result_fields_round_trip():
     assert np.isfinite(result.b_estimate)
     assert result.std_error >= 0.0
 
+
+def ginibre_mixture(N, seed):
+    """lam |psi><psi| + (1 - lam) G G^dag / Tr(G G^dag), G complex Gaussian, lam uniform."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
+    noise = g @ g.conj().T
+    lam = rng.uniform()
+    return lam * projector(max_entangled_state(N)) + (1 - lam) * noise / np.trace(noise).real
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_estimate_within_five_sigma_on_random_mixtures(N):
+    for seed in range(3):
+        rho = ginibre_mixture(N, 1000 * N + seed)
+        result = run(ExperimentPlan(N, rho, 20000, seed))
+        assert abs(result.b_estimate - quantum_value(rho, N)) <= 5 * result.std_error
+        # _outcome_distributions clips the no-click probability marginal - click
+        # at 0: on a valid state only float dust may be removed
+        click = joint_click_table(rho, build_layout(N)).probabilities
+        no_click = click.sum(axis=(2, 3))[:, :, None, None] / N - click
+        assert np.clip(-no_click, 0.0, None).sum() <= 1e-12

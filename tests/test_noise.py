@@ -22,6 +22,8 @@ def test_family_validation():
         NoiseFamily("pink", 3, 0.5)
     with pytest.raises(ValueError, match="at least 2"):
         NoiseFamily(KIND_UNCOLORED, 1, 0.5)
+    with pytest.raises(ValueError, match="must be an integer, got 2.7"):
+        NoiseFamily(KIND_UNCOLORED, 2.7, 0.5)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         NoiseFamily(KIND_UNCOLORED, 3, 1.5)
 
@@ -102,3 +104,52 @@ def test_bisection_reports_missing_sign_change(monkeypatch):
     monkeypatch.setattr(noise, "quantum_value", lambda rho, N: 0.0)
     with pytest.raises(ValueError, match="no sign change"):
         threshold_numeric(KIND_UNCOLORED, 3)
+
+
+def reference_mixed_state(family):
+    """The former mixed_state: the full projector of the ket, plus the noise."""
+    N = family.dim
+    d = N * N
+    pure = projector(max_entangled_state(N))
+    if family.kind == KIND_UNCOLORED:
+        sigma = np.eye(d, dtype=complex) / d
+    else:
+        sigma = np.zeros((d, d), dtype=complex)
+        diag = np.arange(N) * (N + 1)
+        sigma[diag, diag] = 1.0 / N
+    return family.lam * pure + (1.0 - family.lam) * sigma
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+@pytest.mark.parametrize("kind", KINDS)
+def test_mixed_state_bit_identical_to_reference(kind, N):
+    for lam in (0.0, 0.3, 1.0):
+        family = NoiseFamily(kind, N, lam)
+        got, want = mixed_state(family), reference_mixed_state(family)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+# threshold_numeric bisects on B_N's sign, so any change in a state entry or in
+# the order Tr(rho W) sums could move the last bits of these.
+PINNED_THRESHOLDS = {
+    KIND_UNCOLORED: (
+        0.7071067811630201,
+        0.7320508075936232,
+        0.7499999999708962,
+        0.7639320225280244,
+        0.7752551285957452,
+    ),
+    KIND_CLOSEST_SEPARABLE: (
+        0.41421356235514395,
+        0.4641016151581425,
+        0.49999999997089617,
+        0.527864045026945,
+        0.5505102572205942,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_threshold_numeric_pinned_floats(kind):
+    assert tuple(threshold_numeric(kind, N) for N in range(2, 7)) == PINNED_THRESHOLDS[kind]
