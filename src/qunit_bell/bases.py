@@ -26,7 +26,10 @@ def _check_dim(N: int) -> int:
 
 
 def _check_index(i: int, N: int, name: str) -> int:
-    i = int(i)
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise ValueError(f"{name} index must be an integer, got {i}") from None
     if not 0 <= i < N:
         raise ValueError(f"{name} index {i} out of range for dimension {N}")
     return i

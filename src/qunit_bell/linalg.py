@@ -1,4 +1,6 @@
-"""Dense complex linear algebra for small Hilbert spaces (dim <= ~100).
+"""Dense complex linear algebra on the N^2-dimensional joint space.
+
+The CLI admits N <= 64, so an operator can be 4096 x 4096 (268 MB).
 
 Kets are 1-D complex ndarrays, operators are square 2-D complex ndarrays.
 Tensor products put the first factor (Alice) on the slowest-varying index.
@@ -104,8 +106,11 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     # rho + 1e-9 I has a Cholesky factor iff lambda_min(rho) > -1e-9, up to
     # rounding, at a fraction of an eigensolve's cost.  Only a failed
     # factorization pays for eigvalsh, which decides and reports the case.
+    # The shift goes onto the diagonal of a C-ordered copy, never onto rho.
+    shifted = rho.copy()
+    shifted.reshape(-1)[:: rho.shape[0] + 1] += NEGATIVITY_REJECT
     try:
-        np.linalg.cholesky(rho + NEGATIVITY_REJECT * np.eye(rho.shape[0]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         smallest = float(np.linalg.eigvalsh(rho)[0])
         if smallest < -NEGATIVITY_REJECT:

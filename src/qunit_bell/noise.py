@@ -9,6 +9,7 @@ weight at which B_N falls to the classical limit 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,21 +41,39 @@ class NoiseFamily:
             raise ValueError(f"mixing weight must lie in [0, 1], got {self.lam}")
 
 
+@lru_cache(maxsize=8)
+def _noise_parts(kind: str, N: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Read-only O(N^2) pieces of the noisy state for (kind, N).
+
+    sigma is diagonal for both kinds, so this holds its diagonal, the index of
+    the |kk> block where |psi> = (1/sqrt(N)) sum_k |kk> is nonzero, and
+    |psi><psi| on that block.  No d x d array is cached: at N = 64 one takes
+    268 MB.
+    """
+    d = N * N
+    diag = np.arange(N) * (N + 1)
+    if kind == KIND_UNCOLORED:
+        sigma_diag = np.full(d, 1.0 / d, dtype=complex)
+    else:
+        sigma_diag = np.zeros(d, dtype=complex)
+        sigma_diag[diag] = 1.0 / N
+    amplitudes = max_entangled_state(N)[diag]
+    block_index = np.ix_(diag, diag)
+    block = np.outer(amplitudes, amplitudes.conj())
+    for array in (sigma_diag, *block_index, block):
+        array.flags.writeable = False
+    return sigma_diag, block_index, block
+
+
 def mixed_state(family: NoiseFamily) -> np.ndarray:
     """Density matrix of the noisy state on the N^2-dimensional joint space."""
-    N = family.dim
-    d = N * N
-    diag = np.arange(N) * (N + 1)  # where |psi> = (1/sqrt(N)) sum_k |kk> is nonzero
-    amplitudes = max_entangled_state(N)[diag]
-    if family.kind == KIND_UNCOLORED:
-        sigma = np.eye(d, dtype=complex) / d
-    else:
-        sigma = np.zeros((d, d), dtype=complex)
-        sigma[diag, diag] = 1.0 / N
-    rho = (1.0 - family.lam) * sigma
-    # |psi><psi| vanishes outside the (diag, diag) block, so adding it there
-    # alone gives lam * |psi><psi| + (1 - lam) * sigma bit for bit.
-    rho[np.ix_(diag, diag)] += family.lam * np.outer(amplitudes, amplitudes.conj())
+    sigma_diag, block_index, block = _noise_parts(family.kind, family.dim)
+    d = sigma_diag.shape[0]
+    rho = np.zeros((d, d), dtype=complex)
+    rho.reshape(-1)[:: d + 1] = (1.0 - family.lam) * sigma_diag
+    # |psi><psi| vanishes outside the |kk> block, so adding it there alone
+    # gives lam * |psi><psi| + (1 - lam) * sigma bit for bit.
+    rho[block_index] += family.lam * block
     return rho
 
 

@@ -111,6 +111,12 @@ def test_overlap_phase_range_errors():
         overlap_phase(3, 0, 3)
     with pytest.raises(ValueError, match="out of range"):
         overlap_phase(0, -1, 3)
+    # a fractional index is refused, not truncated to the phase of i = 2
+    with pytest.raises(ValueError, match="row index must be an integer, got 2.5"):
+        overlap_phase(2.5, 1, 3)
+    with pytest.raises(ValueError, match="column index must be an integer, got 1.0"):
+        overlap_phase(1, 1.0, 3)
+    assert overlap_phase(np.int64(2), np.uint8(1), 3) == overlap_phase(2, 1, 3)
 
 
 def test_normalization_constant():
@@ -174,6 +180,13 @@ def test_intermediate_midpoint_property():
 def test_intermediate_index_errors():
     with pytest.raises(ValueError, match="out of range"):
         intermediate_state(0, 4, 4)
+    # a fractional index is refused, not truncated to m_10
+    with pytest.raises(ValueError, match="row index must be an integer, got 1.9"):
+        intermediate_state(1.9, 0, 3)
+    with pytest.raises(ValueError, match="column index must be an integer, got 0.5"):
+        intermediate_state(1, np.float64(0.5), 3)
+    want = intermediate_state(1, 0, 3)
+    assert np.array_equal(intermediate_state(np.int32(1), np.int64(0), 3), want)
 
 
 def test_family_fields_and_normalization():

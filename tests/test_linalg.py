@@ -259,3 +259,34 @@ def test_pure_max_entangled_states_accepted(N, eigvalsh_calls):
     rho = projector(max_entangled_state(N))
     validate_density_matrix(rho)
     assert eigvalsh_calls == []
+
+
+def layouts(rho):
+    """rho as a read-only, a Fortran-ordered and a non-contiguous (strided) array.
+
+    Each comes with the buffer whose bytes the validator must leave alone.
+    """
+    read_only = rho.copy()
+    read_only.flags.writeable = False
+    fortran = np.asfortranarray(rho)
+    padded = np.zeros((2 * rho.shape[0], 3 * rho.shape[1]), dtype=complex)
+    padded[::2, ::3] = rho
+    return [(read_only, read_only), (fortran, fortran), (padded[::2, ::3], padded)]
+
+
+@pytest.mark.parametrize("d", (4, 36))
+@pytest.mark.parametrize("smallest", (-1e-3, -2e-9, -1.2e-9, -0.8e-9, 0.0, 1e-6))
+def test_validator_leaves_input_untouched(d, smallest, eigvalsh_calls):
+    rng = np.random.default_rng(7 * d)
+    for _ in range(5):
+        rho = state_with_smallest_eigenvalue(rng, d, smallest)
+        expected = reference_accepts(rho)
+        assert expected == (smallest >= -1e-9)
+        for view, buffer in layouts(rho):
+            before = buffer.tobytes()
+            eigvalsh_calls.clear()
+            assert accepts(view) == expected
+            assert buffer.tobytes() == before
+            assert np.array_equal(view, rho)
+            # the shift reached the factorization: accepted states skip eigvalsh
+            assert eigvalsh_calls == ([] if expected else [(d, d)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ def reference_mixed_state(family):
 @pytest.mark.parametrize("N", range(2, 11))
 @pytest.mark.parametrize("kind", KINDS)
 def test_mixed_state_bit_identical_to_reference(kind, N):
-    for lam in (0.0, 0.3, 1.0):
+    for lam in (0.0, 0.123456789, 0.3, 1.0, *PINNED_THRESHOLDS[kind]):
         family = NoiseFamily(kind, N, lam)
         got, want = mixed_state(family), reference_mixed_state(family)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -153,3 +155,48 @@ PINNED_THRESHOLDS = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_threshold_numeric_pinned_floats(kind):
     assert tuple(threshold_numeric(kind, N) for N in range(2, 7)) == PINNED_THRESHOLDS[kind]
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+@pytest.mark.parametrize("kind", KINDS)
+def test_noise_parts_are_read_only(kind, N):
+    sigma_diag, block_index, block = noise._noise_parts(kind, N)
+    assert noise._noise_parts(kind, N)[0] is sigma_diag
+    for array in (sigma_diag, *block_index, block):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mutating_mixed_state_leaves_next_call_intact(kind):
+    family = NoiseFamily(kind, 3, 0.4)
+    first = mixed_state(family)
+    want = first.tobytes()
+    first[:] = 7.0
+    assert mixed_state(family).tobytes() == want == reference_mixed_state(family).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_threshold_builds_noise_parts_once(kind):
+    noise._noise_parts.cache_clear()
+    threshold_numeric(kind, 4)
+    info = noise._noise_parts.cache_info()
+    assert info.misses == 1
+    assert info.hits > 30  # every later bisection step reuses the pieces
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_noise_parts_stay_small_at_largest_cli_dim(kind):
+    # d = 4096 here: one d x d complex array would take 268 MB
+    noise._noise_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        parts = noise._noise_parts(kind, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sigma_diag, block_index, block = parts
+    held = sigma_diag.nbytes + sum(index.nbytes for index in block_index) + block.nbytes
+    assert held < 2**20
+    assert peak < 2**20
