@@ -31,8 +31,6 @@ from .lhv import (
     strategy_value,
 )
 from .linalg import (
-    expectation,
-    hermitian_eigensystem,
     projector,
     schmidt_spectrum,
     validate_density_matrix,

@@ -15,21 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _check_dim(N: int) -> int:
+def _check_int(value, name: str) -> int:
     try:
-        N = operator.index(N)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"local dimension must be an integer, got {N}") from None
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+
+
+def _check_dim(N: int) -> int:
+    N = _check_int(N, "local dimension")
     if N < 2:
         raise ValueError(f"local dimension must be at least 2, got {N}")
     return N
 
 
 def _check_index(i: int, N: int, name: str) -> int:
-    try:
-        i = operator.index(i)
-    except TypeError:
-        raise ValueError(f"{name} index must be an integer, got {i}") from None
+    i = _check_int(i, f"{name} index")
     if not 0 <= i < N:
         raise ValueError(f"{name} index {i} out of range for dimension {N}")
     return i

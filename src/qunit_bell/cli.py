@@ -38,7 +38,7 @@ from .noise import (
 )
 
 MAX_SCAN_DIM = 10
-# Largest --dim: the Bell operator alone takes 16 * N^4 bytes, 268 MB at N=64.
+# Largest --dim: the dense state rho alone takes 16 * N^4 bytes, 268 MB at N=64.
 MAX_DIM = 64
 
 _NOISE_KINDS = {"uncolored": KIND_UNCOLORED, "separable": KIND_CLOSEST_SEPARABLE}

@@ -21,6 +21,21 @@ and -1 otherwise:
 For the maximally entangled state each combination contributes exactly
 1/sqrt(N), giving the quantum value 2*sqrt(N); local deterministic models
 cannot exceed 2.  At N=2 this is the CHSH inequality.
+
+W in closed form.  B_N(rho) = Tr(rho W), W = sum_xu |a^x_u><a^x_u| x B^x_u.
+The (1/N)|m_vj><m_vj| are a POVM, so B^x_u = sum_vj c[x,u,v,j] |m_vj><m_vj|
+= 2 Q^x_u - N 1, where Q^x_u sums the N slots with c = +1.  Those of A are
+m_ul, l = 0..N-1, and sum_l exp(i phi_ul) <a'_l| = sqrt(N) <a_u| gives
+Q^A_u = [(N + 2 sqrt(N)) |a_u><a_u| + 1]/C, C = 2(1 + 1/sqrt(N)); Q^A'_u
+has the same form with a'_{-u}.  So W = alpha 1 + beta (P_Z + P_X) with
+alpha = 2 sqrt(N)/(sqrt(N) + 1) - 2N, beta = N (sqrt(N) + 2)/(sqrt(N) + 1),
+P_Z = sum_a |aa><aa| and P_X = sum_u |a'_u a'_{-u}><.| = sum_k |Phi_k0><Phi_k0|,
+Phi_k0 = (X^k x 1) psi (Bell basis: Bennett et al., PRL 70, 1895 (1993)).
+B_N = alpha + beta (S_Z + S_X) reads N + N^3 entries of rho: S_Z = Tr(rho P_Z)
+is the probability of equal outcomes in A, S_X = (1/N) sum_kab
+rho[(a+k, a), (b+k, b)] that of opposite labels in A'.  P_Z and P_X span the
+Phi_0l and the Phi_k0, so W has eigenvalues alpha + 2 beta = 2 sqrt(N) (on
+psi = Phi_00 alone), alpha + beta (2(N-1) times) and alpha ((N-1)^2 times).
 """
 
 from __future__ import annotations
@@ -79,14 +94,18 @@ class BellSetup:
     """What B_N needs at one N, built once by bell_setup; every array is read-only.
 
     alice[x, u] is Alice's ket u of setting x, bob[v, j] the state in slot
-    (v, j), i.e. m_{v,(v+j) mod N}, and operator is W: B_N(rho) = Tr(rho W).
+    (v, j), i.e. m_{v,(v+j) mod N}.  B_N = alpha + weights . rho.flat[index],
+    over the N entries S_Z reads (weight beta) and the N^3 S_X reads (beta/N).
     """
 
     dim: int
     alice: np.ndarray
     bob: np.ndarray
     coefficients: np.ndarray
-    operator: np.ndarray
+    alpha: float
+    beta: float
+    index: np.ndarray
+    weights: np.ndarray
 
 
 def build_layout(N: int) -> ValueLayout:
@@ -114,18 +133,23 @@ def max_entangled_state(N: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def bell_setup(N: int) -> BellSetup:
-    """Setup for N, with W = sum_xu |a^x_u><a^x_u| (x) sum_vj c[x,u,v,j] |m_vj><m_vj|."""
+    """Setup for N, with W = alpha 1 + beta (P_Z + P_X) kept as alpha, beta and a gather."""
     N = _check_dim(N)
     alice = np.stack([computational_basis(N), fourier_basis(N)])
     assignment = build_layout(N).assignment
     bob = intermediate_family(N).states[assignment[..., 0], assignment[..., 1]]
     c = build_functional(N).coefficients
-    alice_proj = np.einsum("xua,xuc->xuac", alice, alice.conj())
-    bob_part = np.einsum("xuvj,vjb,vjd->xubd", c, bob, bob.conj())
-    operator = np.einsum("xuac,xubd->abcd", alice_proj, bob_part).reshape(N * N, N * N)
-    for array in (alice, bob, c, operator):
+    root = np.sqrt(N)
+    alpha = 2.0 * root / (root + 1.0) - 2.0 * N
+    beta = N * (root + 2.0) / (root + 1.0)
+    d = N * N
+    k, a, b = np.ogrid[:N, :N, :N]
+    s_x = (((a + k) % N) * N + a) * d + ((b + k) % N) * N + b  # rho[(a+k, a), (b+k, b)]
+    index = np.concatenate([np.arange(N) * (N + 1) * (d + 1), s_x.ravel()])
+    weights = np.repeat([beta, beta / N], [N, N**3])
+    for array in (alice, bob, c, index, weights):
         array.flags.writeable = False
-    return BellSetup(N, alice, bob, c, operator)
+    return BellSetup(N, alice, bob, c, float(alpha), float(beta), index, weights)
 
 
 def _validated_state(rho: np.ndarray, N: int) -> np.ndarray:
@@ -164,12 +188,17 @@ def evaluate(functional: BellFunctional, table: JointClickTable) -> float:
 
 
 def quantum_value(rho: np.ndarray, N: int) -> float:
-    """B_N = Tr(rho W) of a (possibly mixed) state on the N^2-dimensional joint space."""
+    """B_N = alpha + beta (S_Z + S_X) of a (possibly mixed) state on the joint space."""
     N = _check_dim(N)
     rho = _validated_state(rho, N)
-    return float(np.vdot(bell_setup(N).operator, rho).real)
+    setup = bell_setup(N)
+    return setup.alpha + float(setup.weights @ rho.ravel()[setup.index].real)
 
 
 def bell_operator(N: int) -> np.ndarray:
-    """Hermitian operator W whose expectation reproduces B_N for fixed settings."""
-    return bell_setup(_check_dim(N)).operator.copy()
+    """W = alpha 1 + beta (P_Z + P_X) as a new dense array: B_N(rho) = Tr(rho W)."""
+    setup = bell_setup(_check_dim(N))
+    d = setup.dim**2
+    operator = np.bincount(setup.index, setup.weights, minlength=d * d).astype(complex)
+    operator[:: d + 1] += setup.alpha
+    return operator.reshape(d, d)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import _check_dim, _check_int
 from .functional import SETTING_A, SETTING_A_PRIME, BellFunctional, build_functional
 
 # Default brute-force cap; N=5 (25 * 2^25 strategies) only behind allow_slow.
@@ -40,7 +41,9 @@ class DeterministicStrategy:
     clicks: int
 
     def __post_init__(self):
-        N = self.dim
+        for name in ("alpha", "alpha_prime", "clicks"):
+            _check_int(getattr(self, name), name)
+        N = _check_dim(self.dim)
         if not (0 <= self.alpha < N and 0 <= self.alpha_prime < N):
             raise ValueError("Alice outcomes out of range")
         if not 0 <= self.clicks < (1 << (N * N)):

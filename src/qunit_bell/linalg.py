@@ -1,6 +1,6 @@
 """Dense complex linear algebra on the N^2-dimensional joint space.
 
-The CLI admits N <= 64, so an operator can be 4096 x 4096 (268 MB).
+The CLI admits N <= 64, so a density matrix can be 4096 x 4096 (268 MB).
 
 Kets are 1-D complex ndarrays, operators are square 2-D complex ndarrays.
 Tensor products put the first factor (Alice) on the slowest-varying index.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Tolerance ladder: algebraic identities, eigen-residuals.
+# Tolerance ladder: algebraic identities, spectral certificates.
 ATOL_ALGEBRA = 1e-10
 ATOL_EIGEN = 1e-8
 
@@ -41,36 +41,6 @@ def projector(v: np.ndarray) -> np.ndarray:
     if abs(norm - 1.0) > NORM_REJECT:
         raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return np.outer(v, v.conj())
-
-
-def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Born-rule expectation Tr(rho obs) of a Hermitian observable."""
-    rho = _as_complex(rho)
-    obs = _as_complex(obs)
-    if rho.shape != obs.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs observable {obs.shape}")
-    if hermiticity_defect(obs) > ATOL_ALGEBRA:
-        raise ValueError(
-            f"observable is not Hermitian: defect {hermiticity_defect(obs):.3e}"
-        )
-    value = complex(np.trace(rho @ obs))
-    if abs(value.imag) >= 1e-9:
-        raise ValueError(f"expectation has non-negligible imaginary part {value.imag:.3e}")
-    return value.real
-
-
-def hermitian_eigensystem(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors.
-
-    Returns (w, vecs) with vecs[k] the eigenvector for w[k].
-    """
-    op = _as_complex(op)
-    defect = hermiticity_defect(op)
-    if defect > ATOL_ALGEBRA:
-        raise ValueError(f"operator is not Hermitian: defect {defect:.3e}")
-    w, v = np.linalg.eigh(op)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order].T.copy()
 
 
 def schmidt_spectrum(psi: np.ndarray, local_dim: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import _check_int
 from .functional import (
     JointClickTable,
     build_functional,
@@ -34,11 +35,11 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        if self.shots_per_combination < 1:
+        if _check_int(self.shots_per_combination, "shots_per_combination") < 1:
             raise ValueError(
                 f"shots_per_combination must be at least 1, got {self.shots_per_combination}"
             )
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= _check_int(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from qunit_bell.functional import (
     max_entangled_state,
     quantum_value,
 )
-from qunit_bell.linalg import hermitian_eigensystem, hermiticity_defect, projector
+from qunit_bell.linalg import hermiticity_defect, projector
 
 
 def random_density(rng, d):
@@ -42,6 +44,21 @@ def oracle_click_table(rho, N):
         p = np.einsum("ij,jk,ik->i", joint.conj(), rho, joint).real
         probs[x] = p.reshape(N, N * N)[:, slot]
     return probs
+
+
+def reference_bell_operator(N):
+    """W = sum_xu |a^x_u><a^x_u| (x) sum_vj c[x,u,v,j] |m_vj><m_vj|, summed term by term.
+
+    Built from intermediate_family, build_layout and build_functional alone,
+    never from the closed form alpha 1 + beta (P_Z + P_X).
+    """
+    alice = np.stack([computational_basis(N), fourier_basis(N)])
+    assignment = build_layout(N).assignment
+    bob = intermediate_family(N).states[assignment[..., 0], assignment[..., 1]]
+    c = build_functional(N).coefficients
+    alice_proj = np.einsum("xua,xuc->xuac", alice, alice.conj())
+    bob_part = np.einsum("xuvj,vjb,vjd->xubd", c, bob, bob.conj())
+    return np.einsum("xuac,xubd->abcd", alice_proj, bob_part).reshape(N * N, N * N)
 
 
 def loop_layout(N):
@@ -81,7 +98,8 @@ def test_setup_arrays_are_read_only(N):
     assert setup is bell_setup(N)
     assert setup.bob.shape == (N, N, N)
     assert np.array_equal(setup.coefficients, build_functional(N).coefficients)
-    for array in (setup.alice, setup.bob, setup.coefficients, setup.operator):
+    assert setup.index.shape == setup.weights.shape == (N + N**3,)
+    for array in (setup.alice, setup.bob, setup.coefficients, setup.index, setup.weights):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
@@ -92,9 +110,25 @@ def test_mutating_bell_operator_copy_leaves_setup_intact():
     rho = projector(max_entangled_state(N))
     before = quantum_value(rho, N)
     op = bell_operator(N)
+    assert op.flags.writeable
     op[:] = 0.0
     assert quantum_value(rho, N) == before
-    assert np.array_equal(bell_operator(N), bell_setup(N).operator)
+    assert np.abs(bell_operator(N) - reference_bell_operator(N)).max() < 1e-12
+
+
+def test_setup_holds_no_dense_operator_at_largest_cli_dim():
+    # d = 4096 here: one d x d complex array would take 268 MB
+    bell_setup.cache_clear()
+    tracemalloc.start()
+    try:
+        setup = bell_setup(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        bell_setup.cache_clear()
+    arrays = (setup.alice, setup.bob, setup.coefficients, setup.index, setup.weights)
+    assert max(array.size for array in arrays) < 4096**2
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -134,9 +168,11 @@ def test_table_trace_and_oracle_agree(N, seed, lam):
     c = build_functional(N).coefficients
     via_table = evaluate(build_functional(N), table)
     via_oracle = float(np.sum(c * oracle))
-    via_trace = quantum_value(rho, N)
+    via_trace = float(np.vdot(reference_bell_operator(N), rho).real)
+    via_closed_form = quantum_value(rho, N)
     assert abs(via_table - via_trace) < 1e-10
     assert abs(via_oracle - via_trace) < 1e-10
+    assert abs(via_closed_form - via_trace) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,14 +384,47 @@ def test_bell_operator_hermitian(N):
 
 def test_bell_operator_top_eigenvalues():
     for N, want in ((2, 2 * np.sqrt(2)), (3, 2 * np.sqrt(3))):
-        w, _ = hermitian_eigensystem(bell_operator(N))
-        assert abs(w[0] - want) < 1e-8
+        assert abs(np.linalg.eigvalsh(bell_operator(N))[-1] - want) < 1e-8
+
+
+@pytest.mark.parametrize("N", range(2, 13))
+def test_closed_form_operator_matches_reference(N):
+    assert np.abs(bell_operator(N) - reference_bell_operator(N)).max() < 1e-12
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_reference_operator_has_three_eigenvalues(N):
+    # alpha + 2 beta = 2 sqrt(N) on psi, alpha + beta on the other Phi_0l and
+    # Phi_k0, alpha on the rest of the Bell basis
+    setup = bell_setup(N)
+    alpha, beta = setup.alpha, setup.beta
+    w = np.linalg.eigvalsh(reference_bell_operator(N))
+    expected = ((alpha + 2 * beta, 1), (alpha + beta, 2 * (N - 1)), (alpha, (N - 1) ** 2))
+    for value, multiplicity in expected:
+        assert np.sum(np.abs(w - value) < 1e-9) == multiplicity
+    assert abs(alpha + 2 * beta - 2 * np.sqrt(N)) < 1e-12
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_product_states_meet_fixed_setting_separable_bound(N):
+    # S_Z + S_X <= 1 + 1/N on product states, the two-MUB witness of Spengler
+    # et al., PRA 86, 022311 (2012); |00> attains it.
+    setup = bell_setup(N)
+    bound = setup.alpha + setup.beta * (1 + 1 / N)
+    assert bound <= np.sqrt(2) + 1e-12  # equality at N = 2; below the LHV bound 2
+    a0 = computational_basis(N)[0]
+    assert abs(quantum_value(projector(np.kron(a0, a0)), N) - bound) < 1e-12
+    rng = np.random.default_rng(300 + N)
+    for _ in range(300):
+        a, b = rng.normal(size=(2, N)) + 1j * rng.normal(size=(2, N))
+        psi = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        assert quantum_value(projector(psi), N) <= bound + 1e-12
 
 
 @pytest.mark.parametrize("N", range(2, 7))
 def test_operator_matches_functional_on_random_states(N):
     rng = np.random.default_rng(100 + N)
-    op = bell_operator(N)
+    op = reference_bell_operator(N)
     for _ in range(20):
         rho = random_density(rng, N * N)
         via_table = quantum_value(rho, N)
@@ -365,10 +434,10 @@ def test_operator_matches_functional_on_random_states(N):
 
 @pytest.mark.parametrize("N", range(2, 7))
 def test_top_eigenvector_matches_max_entangled_value(N):
-    op = bell_operator(N)
-    w, vecs = hermitian_eigensystem(op)
-    top = vecs[0] / np.linalg.norm(vecs[0])
+    op = reference_bell_operator(N)
+    w, vecs = np.linalg.eigh(op)
+    top = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
     via_top = np.vdot(top, op @ top).real
     via_psi = quantum_value(projector(max_entangled_state(N)), N)
     assert abs(via_top - via_psi) < 1e-8
-    assert abs(via_psi - w[0]) < 1e-8
+    assert abs(via_psi - w[-1]) < 1e-8

@@ -34,6 +34,13 @@ def test_strategy_validation():
         DeterministicStrategy(3, 3, 0, 0)
     with pytest.raises(ValueError, match="bits"):
         DeterministicStrategy(3, 0, 0, 1 << 9)
+    # a fractional field fails here, not later as an IndexError
+    for field in ("alpha", "alpha_prime", "clicks"):
+        fields = {"dim": 3, "alpha": 0, "alpha_prime": 2, "clicks": 5, field: 0.5}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 0.5"):
+            DeterministicStrategy(**fields)
+    with pytest.raises(ValueError, match="local dimension must be an integer, got 2.5"):
+        DeterministicStrategy(2.5, 0, 0, 0)
 
 
 def test_all_clicks_off_scores_zero():

@@ -3,18 +3,7 @@ import pytest
 
 from qunit_bell.bases import computational_basis, fourier_basis, intermediate_state
 from qunit_bell.functional import max_entangled_state
-from qunit_bell.linalg import (
-    expectation,
-    hermitian_eigensystem,
-    projector,
-    schmidt_spectrum,
-    validate_density_matrix,
-)
-
-
-def random_hermitian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
+from qunit_bell.linalg import projector, schmidt_spectrum, validate_density_matrix
 
 
 def random_density(rng, d):
@@ -55,83 +44,26 @@ def test_projector_rejects_unnormalized():
         projector(np.array([1.0, 1.0]))
 
 
-def test_expectation_identity():
-    d = 4
-    assert abs(expectation(np.eye(d) / d, np.eye(d)) - 1.0) < 1e-12
-
-
 def test_expectation_matched_basis_projectors():
     psi = max_entangled_state(3)
     a0 = computational_basis(3)[0]
     obs = np.kron(projector(a0), projector(a0))
-    assert abs(expectation(projector(psi), obs) - 1 / 3) < 1e-12
+    assert abs(np.trace(projector(psi) @ obs).real - 1 / 3) < 1e-12
 
 
 def test_expectation_intermediate_click():
     psi = max_entangled_state(3)
     obs = np.kron(projector(computational_basis(3)[0]), projector(intermediate_state(0, 0, 3)))
     want = (1 / 3) * (0.5 + 0.5 / np.sqrt(3))
-    assert abs(expectation(projector(psi), obs) - want) < 1e-12
-
-
-def test_expectation_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        expectation(np.eye(2) / 2, np.eye(3))
-
-
-def test_expectation_rejects_non_hermitian():
-    obs = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="not Hermitian"):
-        expectation(np.eye(2) / 2, obs)
-
-
-def test_expectation_linear():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        rho = random_density(rng, 4)
-        x = random_hermitian(rng, 4)
-        y = random_hermitian(rng, 4)
-        a, b = rng.normal(size=2)
-        lhs = expectation(rho, a * x + b * y)
-        rhs = a * expectation(rho, x) + b * expectation(rho, y)
-        assert abs(lhs - rhs) < 1e-10
-
-
-def test_eigensystem_diagonal():
-    w, _ = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [3.0, 2.0, 1.0], atol=1e-12)
+    assert abs(np.trace(projector(psi) @ obs).real - want) < 1e-12
 
 
 def test_eigensystem_projector_spectrum():
     rng = np.random.default_rng(3)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    w, _ = hermitian_eigensystem(projector(v))
-    assert np.allclose(w, [1.0, 0.0, 0.0, 0.0], atol=1e-10)
-
-
-def test_eigensystem_residual_and_orthonormality():
-    rng = np.random.default_rng(5)
-    op = random_hermitian(rng, 9)
-    w, vecs = hermitian_eigensystem(op)
-    assert np.all(np.diff(w) <= 1e-12)
-    for k in range(9):
-        assert np.abs(op @ vecs[k] - w[k] * vecs[k]).max() < 1e-8
-    gram = vecs @ vecs.conj().T
-    assert np.abs(gram - np.eye(9)).max() < 1e-10
-
-
-def test_eigensystem_reconstruction():
-    rng = np.random.default_rng(9)
-    op = random_hermitian(rng, 8)
-    w, vecs = hermitian_eigensystem(op)
-    rebuilt = sum(w[k] * projector(vecs[k] / np.linalg.norm(vecs[k])) for k in range(8))
-    assert np.abs(rebuilt - op).max() < 1e-8
-
-
-def test_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    w = np.linalg.eigvalsh(projector(v))
+    assert np.allclose(w, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
 
 
 def test_schmidt_product_state():
