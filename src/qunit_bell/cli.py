@@ -42,6 +42,7 @@ MAX_SCAN_DIM = 10
 MAX_DIM = 64
 
 _NOISE_KINDS = {"uncolored": KIND_UNCOLORED, "separable": KIND_CLOSEST_SEPARABLE}
+_JSON_NAMES = {bool: "booleans", str: "strings", type(None): "nulls"}
 
 
 def _encode_complex(array: np.ndarray) -> list:
@@ -82,10 +83,13 @@ def load_state_file(path: str, expected_dim: int) -> np.ndarray:
     d = expected_dim * expected_dim
     try:
         data = np.asarray(document["data"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"state file data is not numeric: {exc}") from exc
-    if any(isinstance(x, bool) for x in np.asarray(document["data"], dtype=object).flat):
-        raise ValueError("state file data is not numeric: it contains booleans")
+    # float() also takes numeric strings, booleans and null (as NaN)
+    for leaf in np.asarray(document["data"], dtype=object).flat:
+        if type(leaf) not in (int, float):
+            name = _JSON_NAMES.get(type(leaf), "non-numbers")
+            raise ValueError(f"state file data is not numeric: it contains {name}, e.g. {leaf!r}")
     if kind == "ket":
         if data.shape != (d, 2):
             raise ValueError(
@@ -191,12 +195,10 @@ def cmd_noise(args) -> None:
 
 def _parse_dims(text: str) -> range:
     parts = text.split("..")
-    if len(parts) != 2:
+    # int() would also take "1_0", " 3" and "+2"
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"--dims must look like 2..K, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"--dims must look like 2..K, got {text!r}") from None
+    lo, hi = int(parts[0]), int(parts[1])
     if lo < 2 or hi > MAX_SCAN_DIM or lo > hi:
         raise ValueError(
             f"--dims range must satisfy 2 <= lo <= hi <= {MAX_SCAN_DIM}, got {text!r}"

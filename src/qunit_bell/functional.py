@@ -31,11 +31,11 @@ has the same form with a'_{-u}.  So W = alpha 1 + beta (P_Z + P_X) with
 alpha = 2 sqrt(N)/(sqrt(N) + 1) - 2N, beta = N (sqrt(N) + 2)/(sqrt(N) + 1),
 P_Z = sum_a |aa><aa| and P_X = sum_u |a'_u a'_{-u}><.| = sum_k |Phi_k0><Phi_k0|,
 Phi_k0 = (X^k x 1) psi (Bell basis: Bennett et al., PRL 70, 1895 (1993)).
-B_N = alpha + beta (S_Z + S_X) reads N + N^3 entries of rho: S_Z = Tr(rho P_Z)
-is the probability of equal outcomes in A, S_X = (1/N) sum_kab
-rho[(a+k, a), (b+k, b)] that of opposite labels in A'.  P_Z and P_X span the
-Phi_0l and the Phi_k0, so W has eigenvalues alpha + 2 beta = 2 sqrt(N) (on
-psi = Phi_00 alone), alpha + beta (2(N-1) times) and alpha ((N-1)^2 times).
+B_N = alpha Tr(rho) + beta (S_Z + S_X) reads N^2 + N + N^3 entries of rho:
+S_Z = Tr(rho P_Z) is the probability of equal outcomes in A, S_X = (1/N)
+sum_kab rho[(a+k, a), (b+k, b)] that of opposite labels in A'.  P_Z and P_X
+span the Phi_0l and the Phi_k0, so W has eigenvalues alpha + 2 beta = 2 sqrt(N)
+(on psi = Phi_00 alone), alpha + beta (2(N-1) times) and alpha ((N-1)^2 times).
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ class BellSetup:
     """What B_N needs at one N, built once by bell_setup; every array is read-only.
 
     alice[x, u] is Alice's ket u of setting x, bob[v, j] the state in slot
-    (v, j), i.e. m_{v,(v+j) mod N}.  B_N = alpha + weights . rho.flat[index],
-    over the N entries S_Z reads (weight beta) and the N^3 S_X reads (beta/N).
+    (v, j), i.e. m_{v,(v+j) mod N}.  B_N = Tr(rho W) = weights . rho.flat[index]
+    over the N^2 diagonal entries (weight alpha), the N entries S_Z reads (beta)
+    and the N^3 S_X reads (beta/N).
     """
 
     dim: int
@@ -145,8 +146,9 @@ def bell_setup(N: int) -> BellSetup:
     d = N * N
     k, a, b = np.ogrid[:N, :N, :N]
     s_x = (((a + k) % N) * N + a) * d + ((b + k) % N) * N + b  # rho[(a+k, a), (b+k, b)]
-    index = np.concatenate([np.arange(N) * (N + 1) * (d + 1), s_x.ravel()])
-    weights = np.repeat([beta, beta / N], [N, N**3])
+    diagonal = np.arange(d) * (d + 1)
+    index = np.concatenate([diagonal, diagonal[:: N + 1], s_x.ravel()])
+    weights = np.repeat([alpha, beta, beta / N], [d, N, N**3])
     for array in (alice, bob, c, index, weights):
         array.flags.writeable = False
     return BellSetup(N, alice, bob, c, float(alpha), float(beta), index, weights)
@@ -188,17 +190,15 @@ def evaluate(functional: BellFunctional, table: JointClickTable) -> float:
 
 
 def quantum_value(rho: np.ndarray, N: int) -> float:
-    """B_N = alpha + beta (S_Z + S_X) of a (possibly mixed) state on the joint space."""
+    """B_N = Tr(rho W) = alpha Tr(rho) + beta (S_Z + S_X) of a (possibly mixed) state."""
     N = _check_dim(N)
     rho = _validated_state(rho, N)
     setup = bell_setup(N)
-    return setup.alpha + float(setup.weights @ rho.ravel()[setup.index].real)
+    return float(setup.weights @ rho.ravel()[setup.index].real)
 
 
 def bell_operator(N: int) -> np.ndarray:
     """W = alpha 1 + beta (P_Z + P_X) as a new dense array: B_N(rho) = Tr(rho W)."""
     setup = bell_setup(_check_dim(N))
     d = setup.dim**2
-    operator = np.bincount(setup.index, setup.weights, minlength=d * d).astype(complex)
-    operator[:: d + 1] += setup.alpha
-    return operator.reshape(d, d)
+    return np.bincount(setup.index, setup.weights, minlength=d * d).astype(complex).reshape(d, d)

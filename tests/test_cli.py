@@ -221,6 +221,32 @@ def test_quantum_value_ket_file(tmp_path, capsys):
             "booleans",
             id="bool-in-density-data",
         ),
+        pytest.param(
+            lambda p: write_state(
+                p, 3, "ket", [[str(z.real), "0"] for z in max_entangled_state(3)]
+            ),
+            "not numeric: it contains strings",
+            id="string-in-ket-data",
+        ),
+        pytest.param(
+            lambda p: write_state(
+                p, 3, "density", [[[str(1 / 9), 0]] + [[0, 0]] * 8] + density_payload(np.eye(9)[1:] / 9)
+            ),
+            "not numeric: it contains strings",
+            id="string-in-density-data",
+        ),
+        pytest.param(
+            lambda p: write_state(p, 3, "ket", [[None, 0]] + [[0, 0]] * 8),
+            "not numeric: it contains nulls",
+            id="null-in-ket-data",
+        ),
+        pytest.param(
+            lambda p: p.write_text(
+                '{"local_dim": 3, "kind": "ket", "data": [[1' + "0" * 400 + ', 0]' + ", [0, 0]" * 8 + "]}"
+            ),
+            "not numeric: int too large",
+            id="huge-int-in-ket-data",
+        ),
     ),
 )
 def test_state_file_diagnostics(tmp_path, capsys, mutate, needle):
@@ -329,7 +355,7 @@ def test_scan_lambda_mix_n9(capsys):
 
 
 def test_scan_range_errors(capsys):
-    for dims in ("2..11", "3..2", "1..3", "4", "a..b"):
+    for dims in ("2..11", "3..2", "1..3", "4", "a..b", "2..1_0", " 2.. 3", "+2..3", "2..３", "..3", "2..3.."):
         code, _, stderr = run_cli(capsys, "scan", "--dims", dims)
         assert code == 1
         assert "--dims" in stderr

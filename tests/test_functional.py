@@ -98,7 +98,7 @@ def test_setup_arrays_are_read_only(N):
     assert setup is bell_setup(N)
     assert setup.bob.shape == (N, N, N)
     assert np.array_equal(setup.coefficients, build_functional(N).coefficients)
-    assert setup.index.shape == setup.weights.shape == (N + N**3,)
+    assert setup.index.shape == setup.weights.shape == (N**2 + N + N**3,)
     for array in (setup.alice, setup.bob, setup.coefficients, setup.index, setup.weights):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -430,6 +430,16 @@ def test_operator_matches_functional_on_random_states(N):
         via_table = quantum_value(rho, N)
         via_operator = np.trace(rho @ op).real
         assert abs(via_table - via_operator) < 1e-9
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+@pytest.mark.parametrize("scale", (1 + 9e-11, 1 - 9e-11))
+def test_value_is_trace_with_operator_off_unit_trace(N, scale):
+    # the validator admits |Tr rho - 1| <= 1e-10, so alpha must be weighted by Tr rho
+    rho = scale * projector(max_entangled_state(N))
+    via_operator = np.trace(rho @ reference_bell_operator(N)).real
+    assert abs(quantum_value(rho, N) - via_operator) < 1e-12
+    assert abs(np.trace(rho @ bell_operator(N)).real - via_operator) < 1e-12
 
 
 @pytest.mark.parametrize("N", range(2, 7))

@@ -4,6 +4,7 @@ import pytest
 from qunit_bell.bases import computational_basis, fourier_basis, intermediate_state
 from qunit_bell.functional import max_entangled_state
 from qunit_bell.linalg import projector, schmidt_spectrum, validate_density_matrix
+from qunit_bell.noise import KIND_CLOSEST_SEPARABLE, KIND_UNCOLORED, NoiseFamily, mixed_state
 
 
 def random_density(rng, d):
@@ -131,11 +132,12 @@ def reference_accepts(rho):
     return _eigvalsh(rho)[0] >= -1e-9
 
 
-def state_with_smallest_eigenvalue(rng, d, smallest):
-    """Haar-random unitary conjugate of a unit-trace diagonal whose minimum is `smallest`."""
+def state_with_smallest_eigenvalue(rng, d, smallest, real=False):
+    """Haar-random unitary (or orthogonal) conjugate of a unit-trace diagonal whose minimum is `smallest`."""
     rest = rng.uniform(0.1, 1.0, size=d - 1)
     spectrum = np.concatenate(([smallest], rest * (1.0 - smallest) / rest.sum()))
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    g = rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g if real else g + 1j * rng.normal(size=(d, d)))
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     rho = (u * spectrum) @ u.conj().T
     return (rho + rho.conj().T) / 2
@@ -163,12 +165,27 @@ def accepts(rho):
     return True
 
 
-@pytest.mark.parametrize("d", (4, 9, 16, 36, 64, 100))
-@pytest.mark.parametrize("smallest", (-1e-3, -2e-9, -1.2e-9, -0.8e-9, -5e-10, 0.0, 1e-6))
+GRID_D = (4, 9, 16, 36, 64, 100)
+GRID_SMALLEST = (-1e-3, -2e-9, -1.2e-9, -0.8e-9, -5e-10, 0.0, 1e-6)
+
+
+@pytest.mark.parametrize("d", GRID_D)
+@pytest.mark.parametrize("smallest", GRID_SMALLEST)
 def test_positivity_check_matches_eigvalsh(d, smallest, eigvalsh_calls):
-    rng = np.random.default_rng(d)
+    check_positivity_grid(np.random.default_rng(d), d, smallest, eigvalsh_calls, real=False)
+
+
+@pytest.mark.parametrize("d", GRID_D)
+@pytest.mark.parametrize("smallest", GRID_SMALLEST)
+def test_real_positivity_check_matches_eigvalsh(d, smallest, eigvalsh_calls):
+    # real states are factored in real arithmetic; the rule must not move
+    check_positivity_grid(np.random.default_rng(1000 + d), d, smallest, eigvalsh_calls, real=True)
+
+
+def check_positivity_grid(rng, d, smallest, eigvalsh_calls, real):
     for _ in range(20):
-        rho = state_with_smallest_eigenvalue(rng, d, smallest)
+        rho = state_with_smallest_eigenvalue(rng, d, smallest, real)
+        assert np.isrealobj(rho) == real
         expected = smallest >= -1e-9
         assert reference_accepts(rho) == expected
         eigvalsh_calls.clear()
@@ -201,7 +218,7 @@ def layouts(rho):
     read_only = rho.copy()
     read_only.flags.writeable = False
     fortran = np.asfortranarray(rho)
-    padded = np.zeros((2 * rho.shape[0], 3 * rho.shape[1]), dtype=complex)
+    padded = np.zeros((2 * rho.shape[0], 3 * rho.shape[1]), dtype=rho.dtype)
     padded[::2, ::3] = rho
     return [(read_only, read_only), (fortran, fortran), (padded[::2, ::3], padded)]
 
@@ -209,12 +226,21 @@ def layouts(rho):
 @pytest.mark.parametrize("d", (4, 36))
 @pytest.mark.parametrize("smallest", (-1e-3, -2e-9, -1.2e-9, -0.8e-9, 0.0, 1e-6))
 def test_validator_leaves_input_untouched(d, smallest, eigvalsh_calls):
-    rng = np.random.default_rng(7 * d)
+    rng, rng_real = np.random.default_rng(7 * d), np.random.default_rng(7 * d + 1)
     for _ in range(5):
-        rho = state_with_smallest_eigenvalue(rng, d, smallest)
-        expected = reference_accepts(rho)
-        assert expected == (smallest >= -1e-9)
-        for view, buffer in layouts(rho):
+        for rho in (
+            state_with_smallest_eigenvalue(rng, d, smallest),
+            state_with_smallest_eigenvalue(rng_real, d, smallest, real=True),
+        ):
+            check_leaves_input_untouched(rho, d, smallest, eigvalsh_calls)
+
+
+def check_leaves_input_untouched(rho, d, smallest, eigvalsh_calls):
+    expected = reference_accepts(rho)
+    assert expected == (smallest >= -1e-9)
+    # float64, and complex128 with every imaginary part zero: both take the real path
+    for state in (rho, rho.astype(complex)) if np.isrealobj(rho) else (rho,):
+        for view, buffer in layouts(state):
             before = buffer.tobytes()
             eigvalsh_calls.clear()
             assert accepts(view) == expected
@@ -222,3 +248,62 @@ def test_validator_leaves_input_untouched(d, smallest, eigvalsh_calls):
             assert np.array_equal(view, rho)
             # the shift reached the factorization: accepted states skip eigvalsh
             assert eigvalsh_calls == ([] if expected else [(d, d)])
+
+
+@pytest.fixture
+def cholesky_dtypes(monkeypatch):
+    """Record the dtype of every matrix validate_density_matrix factors."""
+    dtypes = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("N", (2, 3, 6))
+def test_real_states_are_factored_in_real_arithmetic(N, cholesky_dtypes):
+    real_states = [projector(max_entangled_state(N))] + [
+        mixed_state(NoiseFamily(kind, N, lam))
+        for kind in (KIND_UNCOLORED, KIND_CLOSEST_SEPARABLE)
+        for lam in (0.0, 0.4, 1.0)
+    ]
+    for rho in real_states:
+        assert rho.dtype == complex
+        assert validate_density_matrix(rho) is rho
+    assert cholesky_dtypes == [np.dtype(np.float64)] * len(real_states)
+    cholesky_dtypes.clear()
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        validate_density_matrix(state_with_smallest_eigenvalue(rng, N * N, 0.01))
+    assert cholesky_dtypes == [np.dtype(np.complex128)] * 3
+
+
+def with_imaginary(rho, entry, value):
+    rho = np.asarray(rho, dtype=complex)
+    rho[entry] += 1j * value
+    return rho
+
+
+@pytest.mark.parametrize(
+    "rho,message",
+    (
+        (np.diag([np.nan, 1.0]), "non-finite entries (NaN/Inf) are not admitted"),
+        (np.diag([np.inf, 1.0]), "non-finite entries (NaN/Inf) are not admitted"),
+        (with_imaginary(np.eye(2) / 2, (0, 1), np.inf), "non-finite entries (NaN/Inf) are not admitted"),
+        (with_imaginary(np.eye(2) / 2, (1, 1), np.nan), "non-finite entries (NaN/Inf) are not admitted"),
+        (np.array([[0.5, 0.5], [-0.5, 0.5]]), "density matrix is not Hermitian: defect 1.000e+00"),
+        (np.array([[0.5, 3e-10], [0.0, 0.5]]), "density matrix is not Hermitian: defect 3.000e-10"),
+        (np.eye(2), "density matrix trace deviates from 1 by 1.000e+00"),
+        (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+    ),
+)
+def test_rejection_messages_for_real_inputs(rho, message):
+    # the same strings as before real states took the real path, float64 or complex128 alike
+    for state in (rho, np.asarray(rho, dtype=complex)):
+        with pytest.raises(ValueError) as exc:
+            validate_density_matrix(state)
+        assert str(exc.value) == message

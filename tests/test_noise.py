@@ -146,7 +146,7 @@ PINNED_THRESHOLDS = {
     KIND_CLOSEST_SEPARABLE: (
         0.41421356235514395,
         0.4641016151581425,
-        0.49999999997089617,
+        0.5000000000291038,
         0.527864045026945,
         0.5505102572205942,
     ),
