@@ -11,6 +11,8 @@ from qunit_bell.functional import max_entangled_state
 from qunit_bell.linalg import projector
 from qunit_bell.montecarlo import ExperimentPlan, run
 
+from test_functional import loop_layout
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -48,7 +50,7 @@ def test_construct_writes_family(tmp_path, capsys):
     assert abs(doc["normalization"] - 2 * (1 + 1 / np.sqrt(3))) < 1e-12
     states = decode(doc["intermediate_states"])
     assert states.shape == (3, 3, 3)
-    assert doc["value_assignment"][2][1] == [2, 0]
+    assert doc["value_assignment"] == loop_layout(3).tolist()
     assert len(doc["computational_basis"]) == 3
     assert len(doc["fourier_basis"]) == 3
     assert np.asarray(doc["phases"]).shape == (3, 3)
@@ -61,6 +63,14 @@ def test_construct_round_trip_bit_for_bit(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert np.array_equal(decode(doc["intermediate_states"]), intermediate_family(4).states)
     assert np.array_equal(np.asarray(doc["phases"]), intermediate_family(4).phases)
+
+
+@pytest.mark.parametrize("N", (2, 5, 8))
+def test_construct_value_assignment_matches_loops(tmp_path, capsys, N):
+    out = tmp_path / "family.json"
+    code, _, _ = run_cli(capsys, "construct", "--dim", str(N), "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["value_assignment"] == loop_layout(N).tolist()
 
 
 def test_construct_n2_orthonormal_pairs(tmp_path, capsys):
@@ -275,8 +285,7 @@ def test_lhv_greedy(capsys):
     report = json.loads(stdout)
     assert report["bound"] == 2
     assert report["method"] == "greedy"
-    assert 0 <= report["strategy"]["alpha"] < 3
-    assert report["strategy"]["clicks"].startswith("0x")
+    assert report["strategy"] == {"alpha": 0, "alpha_prime": 0, "clicks": "0x1"}
 
 
 def test_lhv_brute_force_agrees(capsys):
@@ -285,6 +294,7 @@ def test_lhv_brute_force_agrees(capsys):
     report = json.loads(stdout)
     assert report["bound"] == 2
     assert report["method"] == "brute-force"
+    assert report["strategy"] == {"alpha": 2, "alpha_prime": 2, "clicks": "0x100"}
 
 
 def test_lhv_greedy_dim8(capsys):

@@ -93,6 +93,12 @@ def test_bruteforce_witness_pinned(N, alpha, alpha_prime, clicks):
     )
 
 
+@pytest.mark.parametrize("N", range(2, 9))
+def test_greedy_witness_pinned(N):
+    # the first Alice pair wins ties, and only slot (0, 0), m_00, clicks
+    assert greedy_bound_with_witness(N) == (2, DeterministicStrategy(N, 0, 0, 0x1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     gains=st.integers(1, 22).flatmap(

@@ -140,17 +140,34 @@ def test_estimate_within_five_sigma_on_random_mixtures(N):
 
 
 @pytest.mark.parametrize(
-    "N, seed, state_seed, digest",
+    "N, seed, state_seed, digest, b_estimate, std_error",
     (
-        (2, 7, None, "c080ea331697f434934e575a46bfe11c0f088e8da566bdce2b3d9615238335eb"),
-        (3, 2024, 5, "c46c1cfa5ee329f6d0d12ad715a0bf1b590c796f0240584717e64120342cf636"),
+        (
+            2,
+            7,
+            None,
+            "c080ea331697f434934e575a46bfe11c0f088e8da566bdce2b3d9615238335eb",
+            2.951,
+            0.05466014087065638,
+        ),
+        (
+            3,
+            2024,
+            5,
+            "c46c1cfa5ee329f6d0d12ad715a0bf1b590c796f0240584717e64120342cf636",
+            0.6320000000000001,
+            0.07710233459500432,
+        ),
     ),
 )
-def test_seed_pins_counts(N, seed, state_seed, digest):
-    # state_seed None is the maximally entangled state, else ginibre_mixture(N, state_seed)
+def test_seed_pins_counts(N, seed, state_seed, digest, b_estimate, std_error):
+    # state_seed None is the maximally entangled state, else ginibre_mixture(N, state_seed).
+    # The estimates are pinned to the bit: their summation order is part of the output.
     rho = None if state_seed is None else ginibre_mixture(N, state_seed)
-    counts = run(make_plan(N=N, shots=1000, seed=seed, rho=rho)).counts
-    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+    result = run(make_plan(N=N, shots=1000, seed=seed, rho=rho))
+    assert hashlib.sha256(result.counts.tobytes()).hexdigest() == digest
+    assert result.b_estimate == b_estimate
+    assert result.std_error == std_error
 
 
 @pytest.mark.parametrize("N", (2, 3, 5))
