@@ -11,23 +11,18 @@ from .bases import (
     povm_defect,
 )
 from .functional import (
-    BellFunctional,
     BellSetup,
-    JointClickTable,
-    ValueLayout,
     bell_operator,
     bell_setup,
-    build_functional,
     build_layout,
-    evaluate,
     joint_click_table,
     max_entangled_state,
     quantum_value,
 )
 from .lhv import (
     DeterministicStrategy,
-    lhv_bound_bruteforce,
-    lhv_bound_greedy,
+    bruteforce_bound_with_witness,
+    greedy_bound_with_witness,
     strategy_value,
 )
 from .linalg import (

@@ -122,7 +122,6 @@ def _print_json(payload) -> None:
 def cmd_construct(args) -> None:
     N = _check_dim_flag(args.dim)
     family = intermediate_family(N)
-    layout = build_layout(N)
     document = {
         "local_dim": N,
         "normalization": family.normalization,
@@ -130,7 +129,7 @@ def cmd_construct(args) -> None:
         "fourier_basis": _encode_complex(fourier_basis(N)),
         "phases": family.phases.tolist(),
         "intermediate_states": _encode_complex(family.states),
-        "value_assignment": layout.assignment.tolist(),
+        "value_assignment": build_layout(N).tolist(),
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
@@ -232,8 +231,8 @@ def cmd_scan(args) -> None:
 
 def cmd_sample(args) -> None:
     N = _check_dim_flag(args.dim)
-    if args.shots < 1:
-        raise ValueError(f"--shots must be at least 1, got {args.shots}")
+    if not 1 <= args.shots < 2**63:
+        raise ValueError(f"--shots must be at least 1 and below 2**63, got {args.shots}")
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
     rho = _resolve_state(args, N)

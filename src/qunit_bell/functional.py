@@ -53,48 +53,13 @@ SETTING_A_PRIME = 1
 
 
 @dataclass(frozen=True)
-class ValueLayout:
-    """Assignment of intermediate states to (value, group) slots.
-
-    assignment[v, j] holds the index pair (i, l) of the state m_il sitting
-    at value v of group M_j, namely (v, (v+j) mod N).
-    """
-
-    dim: int
-    assignment: np.ndarray
-
-    def state_index(self, value: int, group: int) -> tuple[int, int]:
-        i, l = self.assignment[value, group]
-        return int(i), int(l)
-
-
-@dataclass(frozen=True)
-class BellFunctional:
-    """Signed coefficients c[x, u, v, j] in {+1, -1}.
-
-    x is Alice's setting (0 = A, 1 = A'), u her outcome, and (v, j) names
-    Bob's binary measurement by its slot in the value layout.  Coefficients
-    are stored as integers so deterministic-strategy values stay exact.
-    """
-
-    dim: int
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True)
-class JointClickTable:
-    """Joint probabilities p[x, u, v, j] of Alice outcome u and a Bob click."""
-
-    dim: int
-    probabilities: np.ndarray
-
-
-@dataclass(frozen=True)
 class BellSetup:
     """What B_N needs at one N, built once by bell_setup; every array is read-only.
 
     alice[x, u] is Alice's ket u of setting x, bob[v, j] the state in slot
-    (v, j), i.e. m_{v,(v+j) mod N}.  B_N = Tr(rho W) = weights . rho.flat[index]
+    (v, j), i.e. m_{v,(v+j) mod N}.  coefficients[x, u, v, j] in {+1, -1} weighs
+    the click of slot (v, j) given Alice's outcome u in setting x; they are int8
+    so deterministic-strategy values stay exact.  B_N = Tr(rho W) = weights . rho.flat[index]
     over the N^2 diagonal entries (weight alpha), the N entries S_Z reads (beta)
     and the N^3 S_X reads (beta/N).
     """
@@ -109,19 +74,11 @@ class BellSetup:
     weights: np.ndarray
 
 
-def build_layout(N: int) -> ValueLayout:
-    """Map slot (value v, group j) to the state index pair (v, (v+j) mod N)."""
+def build_layout(N: int) -> np.ndarray:
+    """(N, N, 2) array mapping slot (value v, group j) to the state index pair (v, (v+j) mod N)."""
     N = _check_dim(N)
     v, j = np.ogrid[:N, :N]
-    return ValueLayout(N, np.stack(np.broadcast_arrays(v, (v + j) % N), axis=-1))
-
-
-def build_functional(N: int) -> BellFunctional:
-    """Coefficients +1 on the correlated slot of each (setting, outcome, group)."""
-    N = _check_dim(N)
-    u, v, j = np.ogrid[:N, :N, :N]
-    correlated = np.stack(np.broadcast_arrays(v == u, v == (-u - j) % N))
-    return BellFunctional(N, correlated.astype(np.int8) * 2 - 1)
+    return np.stack(np.broadcast_arrays(v, (v + j) % N), axis=-1)
 
 
 def max_entangled_state(N: int) -> np.ndarray:
@@ -137,9 +94,11 @@ def bell_setup(N: int) -> BellSetup:
     """Setup for N, with W = alpha 1 + beta (P_Z + P_X) kept as alpha, beta and a gather."""
     N = _check_dim(N)
     alice = np.stack([computational_basis(N), fourier_basis(N)])
-    assignment = build_layout(N).assignment
+    assignment = build_layout(N)
     bob = intermediate_family(N).states[assignment[..., 0], assignment[..., 1]]
-    c = build_functional(N).coefficients
+    u, v, j = np.ogrid[:N, :N, :N]  # +1 on the correlated slot of each (setting, outcome, group)
+    correlated = np.stack(np.broadcast_arrays(v == u, v == (-u - j) % N))
+    c = correlated.astype(np.int8) * 2 - 1
     root = np.sqrt(N)
     alpha = 2.0 * root / (root + 1.0) - 2.0 * N
     beta = N * (root + 2.0) / (root + 1.0)
@@ -163,13 +122,12 @@ def _validated_state(rho: np.ndarray, N: int) -> np.ndarray:
     return rho
 
 
-def joint_click_table(rho: np.ndarray, layout: ValueLayout) -> JointClickTable:
+def joint_click_table(rho: np.ndarray, N: int) -> np.ndarray:
     """Born-rule table p[x, u, v, j] = Tr(rho (P_u^x  x  P_m)), Alice's factor first.
 
     Slots follow build_layout.  Contracting Alice's kets into rho's (N, N, N, N)
     blocks first, then Bob's, takes O(N^5) work.
     """
-    N = layout.dim
     setup = bell_setup(N)
     rho = _validated_state(rho, N)
     bob = setup.bob.reshape(N * N, N)  # row s = v*N + j
@@ -177,16 +135,7 @@ def joint_click_table(rho: np.ndarray, layout: ValueLayout) -> JointClickTable:
     rows = (setup.alice.conj() @ rho.reshape(N, N**3)).reshape(2, N, N, N, N)
     conditional = np.einsum("xubcd,xuc->xubd", rows, setup.alice)  # Bob's state given (x, u)
     probs = np.einsum("sb,xubs->xus", bob.conj(), conditional @ bob.T).real
-    return JointClickTable(N, probs.reshape(2, N, N, N))
-
-
-def evaluate(functional: BellFunctional, table: JointClickTable) -> float:
-    """Signed sum of joint click probabilities."""
-    if functional.dim != table.dim:
-        raise ValueError(
-            f"dimension mismatch: functional {functional.dim} vs table {table.dim}"
-        )
-    return float(np.sum(functional.coefficients * table.probabilities))
+    return probs.reshape(2, N, N, N)
 
 
 def quantum_value(rho: np.ndarray, N: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import _check_dim, _check_int
-from .functional import SETTING_A, SETTING_A_PRIME, BellFunctional, build_functional
+from .functional import SETTING_A, SETTING_A_PRIME, bell_setup
 
 # Default brute-force cap; N=5 (25 * 2^25 strategies) only behind allow_slow.
 BRUTE_FORCE_MAX_DIM = 4
@@ -50,25 +50,20 @@ class DeterministicStrategy:
             raise ValueError(f"click mask needs exactly {N * N} bits")
 
 
-def click_gains(alpha: int, alpha_prime: int, functional: BellFunctional) -> np.ndarray:
+def click_gains(alpha: int, alpha_prime: int, N: int) -> np.ndarray:
     """Per-measurement click gain c_A + c_A' for fixed Alice outcomes.
 
     Entry v*N + j corresponds to the measurement at slot (v, j); values
     are in {+2, 0, -2}.
     """
-    N = functional.dim
-    c = functional.coefficients
+    c = bell_setup(N).coefficients
     gains = c[SETTING_A, alpha].astype(np.int64) + c[SETTING_A_PRIME, alpha_prime]
     return gains.reshape(N * N)
 
 
-def strategy_value(strategy: DeterministicStrategy, functional: BellFunctional) -> int:
+def strategy_value(strategy: DeterministicStrategy) -> int:
     """Exact B_N value of a deterministic strategy (an even integer)."""
-    if strategy.dim != functional.dim:
-        raise ValueError(
-            f"dimension mismatch: strategy {strategy.dim} vs functional {functional.dim}"
-        )
-    gains = click_gains(strategy.alpha, strategy.alpha_prime, functional)
+    gains = click_gains(strategy.alpha, strategy.alpha_prime, strategy.dim)
     total = 0
     mask = strategy.clicks
     while mask:
@@ -117,10 +112,10 @@ def bruteforce_bound_with_witness(
             f"brute force supports 2 <= N <= {limit}"
             f"{'' if allow_slow else ' (N=5 requires allow_slow)'}, got {N}"
         )
-    functional = build_functional(N)
+    N = _check_dim(N)  # refuses 2.5 before range() sees it
 
     def scan(alpha: int, alpha_prime: int) -> tuple[int, int, int, int]:
-        value, mask = _best_mask_exhaustive(click_gains(alpha, alpha_prime, functional))
+        value, mask = _best_mask_exhaustive(click_gains(alpha, alpha_prime, N))
         return value, alpha, alpha_prime, mask
 
     value, alpha, alpha_prime, mask = max(scan(a, ap) for a in range(N) for ap in range(N))
@@ -134,12 +129,12 @@ def greedy_bound_with_witness(N: int) -> tuple[int, DeterministicStrategy]:
     outcomes the best pattern clicks exactly the positive-gain measurements;
     zero-gain measurements are left silent to keep the witness minimal.
     """
-    functional = build_functional(N)
+    N = _check_dim(N)
     best_value = None
     best = None
     for alpha in range(N):
         for alpha_prime in range(N):
-            gains = click_gains(alpha, alpha_prime, functional)
+            gains = click_gains(alpha, alpha_prime, N)
             value = int(np.maximum(gains, 0).sum())
             if best_value is None or value > best_value:
                 mask = 0
@@ -149,12 +144,3 @@ def greedy_bound_with_witness(N: int) -> tuple[int, DeterministicStrategy]:
                 best = DeterministicStrategy(N, alpha, alpha_prime, mask)
     return best_value, best
 
-
-def lhv_bound_bruteforce(N: int, allow_slow: bool = False) -> int:
-    """Exact maximum of strategy_value over all deterministic strategies."""
-    return bruteforce_bound_with_witness(N, allow_slow)[0]
-
-
-def lhv_bound_greedy(N: int) -> int:
-    """LHV maximum, optimizing each click bit independently."""
-    return greedy_bound_with_witness(N)[0]

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import _check_int
-from .functional import (
-    JointClickTable,
-    build_functional,
-    build_layout,
-    evaluate,
-    joint_click_table,
-)
+from .functional import bell_setup, joint_click_table
 
 GENERATOR_NAME = "philox4x64"
 
@@ -35,9 +29,10 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        if _check_int(self.shots_per_combination, "shots_per_combination") < 1:
+        # Generator.multinomial takes a C long: 2**63 would raise OverflowError
+        if not 1 <= _check_int(self.shots_per_combination, "shots_per_combination") < 2**63:
             raise ValueError(
-                f"shots_per_combination must be at least 1, got {self.shots_per_combination}"
+                f"shots_per_combination must be at least 1 and below 2**63, got {self.shots_per_combination}"
             )
         if not 0 <= _check_int(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -67,7 +62,7 @@ def _outcome_distributions(rho: np.ndarray, N: int) -> np.ndarray:
     renormalization keep each combination's 2N-outcome vector an exact
     probability vector.
     """
-    click = joint_click_table(rho, build_layout(N)).probabilities
+    click = joint_click_table(rho, N)
     # The (1/N)|m_vj><m_vj| sum to the identity, so Alice's marginal is the
     # click mass over all N^2 of Bob's measurements, divided by N.
     marginal = click.sum(axis=(2, 3)) / N
@@ -95,12 +90,12 @@ def run(plan: ExperimentPlan) -> ExperimentResult:
                 counts[x, :, v, j, :] = rng.multinomial(shots, pvals).reshape(N, 2)
 
     click_freq = counts[..., 1] / shots
-    functional = build_functional(N)
-    b_estimate = evaluate(functional, JointClickTable(N, click_freq))
+    c = bell_setup(N).coefficients
+    b_estimate = float(np.sum(c * click_freq))
 
     # Multinomial variance of each combination's signed click sum, plugged in
     # with empirical frequencies; combinations are independent.
-    signed = np.sum(functional.coefficients * click_freq, axis=1)  # (x, v, j)
+    signed = np.sum(c * click_freq, axis=1)  # (x, v, j)
     variance = float(np.sum(np.sum(click_freq, axis=1) - signed**2) / shots)
     return ExperimentResult(
         dim=N,

@@ -11,13 +11,12 @@ import numpy as np
 from qunit_bell.bases import computational_basis, fourier_basis, intermediate_family, povm_defect
 from qunit_bell.functional import (
     SETTING_A_PRIME,
-    build_functional,
-    build_layout,
+    bell_setup,
     joint_click_table,
     max_entangled_state,
     quantum_value,
 )
-from qunit_bell.lhv import lhv_bound_bruteforce, lhv_bound_greedy
+from qunit_bell.lhv import bruteforce_bound_with_witness, greedy_bound_with_witness
 from qunit_bell.linalg import projector
 from qunit_bell.montecarlo import ExperimentPlan, run
 from qunit_bell.noise import (
@@ -54,9 +53,9 @@ def test_criterion_1_quantum_maximum(capsys):
 
 
 def test_criterion_2_lhv_bound(capsys):
-    greedy = [lhv_bound_greedy(N) for N in range(2, 11)]
+    greedy = [greedy_bound_with_witness(N)[0] for N in range(2, 11)]
     t0 = time.perf_counter()
-    brute = [lhv_bound_bruteforce(N) for N in range(2, 5)]
+    brute = [bruteforce_bound_with_witness(N)[0] for N in range(2, 5)]
     elapsed = time.perf_counter() - t0
     ok = all(b == 2 for b in greedy) and brute == greedy[:3] == [2, 2, 2] and elapsed < 60.0
     report(
@@ -170,8 +169,8 @@ def test_criterion_7_monte_carlo(capsys):
 
 def test_criterion_8_term_list_regression(capsys):
     N = 3
-    table = joint_click_table(projector(max_entangled_state(N)), build_layout(N)).probabilities
-    c = build_functional(N).coefficients
+    table = joint_click_table(projector(max_entangled_state(N)), N)
+    c = bell_setup(N).coefficients
     correct_mass = np.sum(np.where(c == 1, table, 0.0), axis=(1, 2))  # per (x, j)
     wrong_mass = np.sum(np.where(c == -1, table, 0.0), axis=(1, 2))
     want_hi = 0.5 + 0.5 / np.sqrt(3)

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +407,16 @@ def test_sample_rejects_bad_flags(capsys):
     assert "--seed" in stderr
 
 
+def test_sample_refuses_shots_beyond_c_long(capsys):
+    code, stdout, stderr = run_cli(
+        capsys, "sample", "--dim", "2", "--shots", str(2**63), "--seed", "1"
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: --shots")
+    assert stderr.strip().count("\n") == 0
+
+
 def test_sample_repeated_invocations_identical_bytes():
     argv = [
         sys.executable,
@@ -436,3 +448,10 @@ def test_entry_point_exit_status():
     assert bad.returncode == 1
     assert bad.stdout == b""
     assert bad.stderr.decode().startswith("error:")
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n+```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})

@@ -14,12 +14,9 @@ from qunit_bell.bases import (
 from qunit_bell.functional import (
     SETTING_A,
     SETTING_A_PRIME,
-    JointClickTable,
     bell_operator,
     bell_setup,
-    build_functional,
     build_layout,
-    evaluate,
     joint_click_table,
     max_entangled_state,
     quantum_value,
@@ -35,9 +32,9 @@ def random_density(rng, d):
 
 def oracle_click_table(rho, N):
     """Reference table: every joint ket a^x_u (x) m_vj built by kron, O(N^7)."""
-    layout = build_layout(N)
+    layout = loop_layout(N)
     m_flat = intermediate_family(N).states.reshape(N * N, N)
-    slot = layout.assignment[:, :, 0] * N + layout.assignment[:, :, 1]  # (v, j) -> flat m index
+    slot = layout[:, :, 0] * N + layout[:, :, 1]  # (v, j) -> flat m index
     probs = np.empty((2, N, N, N))
     for x, alice in enumerate((computational_basis(N), fourier_basis(N))):
         joint = np.kron(alice, m_flat)  # rows u*N^2 + s are the kets a_u x m_s
@@ -49,13 +46,13 @@ def oracle_click_table(rho, N):
 def reference_bell_operator(N):
     """W = sum_xu |a^x_u><a^x_u| (x) sum_vj c[x,u,v,j] |m_vj><m_vj|, summed term by term.
 
-    Built from intermediate_family, build_layout and build_functional alone,
-    never from the closed form alpha 1 + beta (P_Z + P_X).
+    Built from intermediate_family, loop_layout and loop_coefficients alone,
+    never from bell_setup or the closed form alpha 1 + beta (P_Z + P_X).
     """
     alice = np.stack([computational_basis(N), fourier_basis(N)])
-    assignment = build_layout(N).assignment
+    assignment = loop_layout(N)
     bob = intermediate_family(N).states[assignment[..., 0], assignment[..., 1]]
-    c = build_functional(N).coefficients
+    c = loop_coefficients(N)
     alice_proj = np.einsum("xua,xuc->xuac", alice, alice.conj())
     bob_part = np.einsum("xuvj,vjb,vjd->xubd", c, bob, bob.conj())
     return np.einsum("xuac,xubd->abcd", alice_proj, bob_part).reshape(N * N, N * N)
@@ -80,10 +77,10 @@ def loop_coefficients(N):
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_broadcast_construction_matches_loops(N):
-    layout = build_layout(N).assignment
+    layout = build_layout(N)
     assert layout.dtype == loop_layout(N).dtype
     assert np.array_equal(layout, loop_layout(N))
-    c = build_functional(N).coefficients
+    c = bell_setup(N).coefficients
     assert c.dtype == np.int8
     assert np.array_equal(c, loop_coefficients(N))
     family = intermediate_family(N).states
@@ -97,7 +94,7 @@ def test_setup_arrays_are_read_only(N):
     setup = bell_setup(N)
     assert setup is bell_setup(N)
     assert setup.bob.shape == (N, N, N)
-    assert np.array_equal(setup.coefficients, build_functional(N).coefficients)
+    assert np.array_equal(setup.coefficients, loop_coefficients(N))
     assert setup.index.shape == setup.weights.shape == (N**2 + N + N**3,)
     for array in (setup.alice, setup.bob, setup.coefficients, setup.index, setup.weights):
         assert not array.flags.writeable
@@ -162,12 +159,11 @@ mixtures = dict(
 @given(**mixtures)
 def test_table_trace_and_oracle_agree(N, seed, lam):
     rho, _ = ginibre_mixture(N, seed, lam)
-    table = joint_click_table(rho, build_layout(N))
+    table = joint_click_table(rho, N)
     oracle = oracle_click_table(rho, N)
-    assert np.abs(table.probabilities - oracle).max() < 1e-10
-    c = build_functional(N).coefficients
-    via_table = evaluate(build_functional(N), table)
-    via_oracle = float(np.sum(c * oracle))
+    assert np.abs(table - oracle).max() < 1e-10
+    via_table = float(np.sum(bell_setup(N).coefficients * table))
+    via_oracle = float(np.sum(loop_coefficients(N) * oracle))
     via_trace = float(np.vdot(reference_bell_operator(N), rho).real)
     via_closed_form = quantum_value(rho, N)
     assert abs(via_table - via_trace) < 1e-10
@@ -187,25 +183,25 @@ def test_value_bounded_and_affine_in_mixing_weight(N, seed, lam):
 
 def test_layout_assignments_n3():
     layout = build_layout(3)
-    assert layout.state_index(2, 1) == (2, 0)  # m_20
-    assert layout.state_index(1, 2) == (1, 0)  # m_10
-    assert layout.state_index(0, 0) == (0, 0)  # m_00
+    assert tuple(layout[2, 1]) == (2, 0)  # m_20
+    assert tuple(layout[1, 2]) == (1, 0)  # m_10
+    assert tuple(layout[0, 0]) == (0, 0)  # m_00
 
 
 def test_layout_assignment_n4():
-    assert build_layout(4).state_index(3, 1) == (3, 0)  # m_30
+    assert tuple(build_layout(4)[3, 1]) == (3, 0)  # m_30
 
 
 @pytest.mark.parametrize("N", range(2, 7))
 def test_layout_is_a_bijection(N):
     layout = build_layout(N)
-    seen = {layout.state_index(v, j) for v in range(N) for j in range(N)}
+    seen = {tuple(layout[v, j]) for v in range(N) for j in range(N)}
     assert seen == {(i, l) for i in range(N) for l in range(N)}
 
 
 @pytest.mark.parametrize("N", range(2, 7))
 def test_functional_block_structure(N):
-    c = build_functional(N).coefficients
+    c = bell_setup(N).coefficients
     assert c.shape == (2, N, N, N)
     assert c.size == 2 * N * N * N  # 2N x N^2 terms
     assert set(np.unique(c)) <= {-1, 1}
@@ -219,23 +215,23 @@ def test_functional_block_structure(N):
 
 
 def test_functional_a_rule():
-    c = build_functional(3).coefficients
+    c = bell_setup(3).coefficients
     for u in range(3):
         for j in range(3):
             assert c[SETTING_A, u, u, j] == 1
 
 
 def test_functional_a_prime_examples_n3():
-    c = build_functional(3).coefficients
+    c = bell_setup(3).coefficients
     # Alice a'_0 with group M_1 clicks at value 2, the slot of m_20
     assert c[SETTING_A_PRIME, 0, 2, 1] == 1
     # Alice a'_1 correlates Bob with a'_2; group M_1 clicks at value 1 (m_12)
     assert c[SETTING_A_PRIME, 1, 1, 1] == 1
-    assert build_layout(3).state_index(1, 1) == (1, 2)
+    assert tuple(build_layout(3)[1, 1]) == (1, 2)
 
 
 def test_functional_n2_blocks():
-    c = build_functional(2).coefficients
+    c = bell_setup(2).coefficients
     for x in range(2):
         for u in range(2):
             for j in range(2):
@@ -248,49 +244,47 @@ def test_a_prime_rule_equivalent_to_conditional_state_form():
     # Bob with a'_{(N-u) mod N}.  Pinned on the three group-1 terms for N=3:
     # Bob a'_0 -> m_20, Bob a'_1 -> m_01, Bob a'_2 -> m_12.
     N = 3
-    c = build_functional(N).coefficients
+    c = bell_setup(N).coefficients
     layout = build_layout(N)
     expected_states = {0: (2, 0), 1: (0, 1), 2: (1, 2)}
     for bob_label, state in expected_states.items():
         u = (N - bob_label) % N
         v = (bob_label + N - 1) % N
         assert c[SETTING_A_PRIME, u, v, 1] == 1
-        assert layout.state_index(v, 1) == state
+        assert tuple(layout[v, 1]) == state
 
 
 def test_click_table_max_entangled_a_side():
     rho = projector(max_entangled_state(3))
-    table = joint_click_table(rho, build_layout(3))
+    table = joint_click_table(rho, 3)
     want = (1 / 3) * (0.5 + 0.5 / np.sqrt(3))
-    assert abs(table.probabilities[SETTING_A, 0, 0, 0] - want) < 1e-12
+    assert abs(table[SETTING_A, 0, 0, 0] - want) < 1e-12
 
 
 def test_click_table_max_entangled_a_prime_side():
     # independent Born-rule oracle for p[A'][0][(2,1)]
     N = 3
     rho = projector(max_entangled_state(N))
-    table = joint_click_table(rho, build_layout(N))
+    table = joint_click_table(rho, N)
     m_20 = intermediate_family(N).states[2, 0]
     joint = np.kron(fourier_basis(N)[0], m_20)
     want = np.vdot(joint, rho @ joint).real
-    got = table.probabilities[SETTING_A_PRIME, 0, 2, 1]
+    got = table[SETTING_A_PRIME, 0, 2, 1]
     assert abs(got - want) < 1e-12
     assert abs(got - (1 / 3) * (0.5 + 0.5 / np.sqrt(3))) < 1e-10
 
 
 def test_click_table_maximally_mixed():
     N = 3
-    table = joint_click_table(np.eye(9) / 9, build_layout(N))
-    assert np.abs(table.probabilities - 1 / 9).max() < 1e-12
+    table = joint_click_table(np.eye(9) / 9, N)
+    assert np.abs(table - 1 / 9).max() < 1e-12
 
 
 def test_click_table_entries_and_marginals():
     rng = np.random.default_rng(41)
     for N in (2, 3, 4):
-        layout = build_layout(N)
         for _ in range(5):
-            table = joint_click_table(random_density(rng, N * N), layout)
-            p = table.probabilities
+            p = joint_click_table(random_density(rng, N * N), N)
             assert p.min() > -1e-12
             assert p.max() < 1 + 1e-12
             # click probability marginalized over Alice outcomes cannot exceed 1
@@ -299,31 +293,26 @@ def test_click_table_entries_and_marginals():
 
 def test_click_table_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        joint_click_table(np.eye(4) / 4, build_layout(3))
+        joint_click_table(np.eye(4) / 4, 3)
+
+
+def signed_table_sum(rho, N):
+    """B_N as the coefficient-weighted sum of the click table."""
+    return float(np.sum(bell_setup(N).coefficients * joint_click_table(rho, N)))
 
 
 def test_evaluate_max_entangled_n3():
     N = 3
-    table = joint_click_table(projector(max_entangled_state(N)), build_layout(N))
-    assert abs(evaluate(build_functional(N), table) - 2 * np.sqrt(3)) < 1e-10
+    assert abs(signed_table_sum(projector(max_entangled_state(N)), N) - 2 * np.sqrt(3)) < 1e-10
 
 
 def test_evaluate_maximally_mixed_n3():
-    N = 3
-    table = joint_click_table(np.eye(9) / 9, build_layout(N))
-    assert abs(evaluate(build_functional(N), table) - (-2.0)) < 1e-10
+    assert abs(signed_table_sum(np.eye(9) / 9, 3) - (-2.0)) < 1e-10
 
 
 def test_evaluate_chsh_value():
     N = 2
-    table = joint_click_table(projector(max_entangled_state(N)), build_layout(N))
-    assert abs(evaluate(build_functional(N), table) - 2 * np.sqrt(2)) < 1e-10
-
-
-def test_evaluate_dimension_mismatch():
-    table = joint_click_table(np.eye(4) / 4, build_layout(2))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        evaluate(build_functional(3), table)
+    assert abs(signed_table_sum(projector(max_entangled_state(N)), N) - 2 * np.sqrt(2)) < 1e-10
 
 
 def test_quantum_value_n5():
@@ -365,15 +354,15 @@ def test_correlation_rule_soundness():
     # each of the 2N (setting, group) combinations contributes exactly 1/sqrt(N)
     for N in range(2, 7):
         rho = projector(max_entangled_state(N))
-        table = joint_click_table(rho, build_layout(N))
-        c = build_functional(N).coefficients
-        per_combo = np.sum(c * table.probabilities, axis=(1, 2))  # (x, j)
+        table = joint_click_table(rho, N)
+        c = bell_setup(N).coefficients
+        per_combo = np.sum(c * table, axis=(1, 2))  # (x, j)
         assert np.abs(per_combo - 1 / np.sqrt(N)).max() < 1e-10
 
 
 def test_coefficient_balance():
     for N in range(2, 7):
-        c = build_functional(N).coefficients
+        c = bell_setup(N).coefficients
         assert int(c.sum()) == 2 * N * N * (2 - N)
 
 

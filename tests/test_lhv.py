@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qunit_bell.functional import build_functional, quantum_value
+from qunit_bell.functional import quantum_value
 from qunit_bell.lhv import (
     LOW_BITS,
     DeterministicStrategy,
@@ -11,8 +11,6 @@ from qunit_bell.lhv import (
     bruteforce_bound_with_witness,
     click_gains,
     greedy_bound_with_witness,
-    lhv_bound_bruteforce,
-    lhv_bound_greedy,
     strategy_value,
 )
 from qunit_bell.linalg import projector
@@ -44,30 +42,22 @@ def test_strategy_validation():
 
 
 def test_all_clicks_off_scores_zero():
-    f = build_functional(3)
-    assert strategy_value(DeterministicStrategy(3, 1, 2, 0), f) == 0
+    assert strategy_value(DeterministicStrategy(3, 1, 2, 0)) == 0
 
 
 def test_single_click_contributions_n3():
-    f = build_functional(3)
     # slot (0,0) holds m_00: correct for both alpha=0 and alpha_prime=0
-    assert strategy_value(DeterministicStrategy(3, 0, 0, 1 << 0), f) == 2
+    assert strategy_value(DeterministicStrategy(3, 0, 0, 1 << 0)) == 2
     # slot (1,0) holds m_11: wrong on both sides
-    assert strategy_value(DeterministicStrategy(3, 0, 0, 1 << 3), f) == -2
-
-
-def test_strategy_value_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        strategy_value(DeterministicStrategy(2, 0, 0, 0), build_functional(3))
+    assert strategy_value(DeterministicStrategy(3, 0, 0, 1 << 3)) == -2
 
 
 def test_gain_trichotomy():
     # per-measurement gains are in {+2, 0, -2} with exactly one +2
     for N in range(2, 8):
-        f = build_functional(N)
         for alpha in range(N):
             for alpha_prime in range(N):
-                gains = click_gains(alpha, alpha_prime, f)
+                gains = click_gains(alpha, alpha_prime, N)
                 assert set(np.unique(gains)) <= {-2, 0, 2}
                 assert np.sum(gains == 2) == 1
                 # the doubly-correct slot sits in group (-alpha-alpha') mod N
@@ -79,7 +69,7 @@ def test_gain_trichotomy():
 def test_bruteforce_bound(N):
     bound, witness = bruteforce_bound_with_witness(N)
     assert bound == 2
-    assert strategy_value(witness, build_functional(N)) == 2
+    assert strategy_value(witness) == 2
 
 
 @pytest.mark.parametrize(
@@ -119,31 +109,31 @@ def test_blocked_search_matches_reference(gains):
 def test_greedy_bound(N):
     bound, witness = greedy_bound_with_witness(N)
     assert bound == 2
-    assert strategy_value(witness, build_functional(N)) == 2
+    assert strategy_value(witness) == 2
 
 
 def test_methods_agree():
     for N in (2, 3, 4):
-        assert lhv_bound_bruteforce(N) == lhv_bound_greedy(N) == 2
+        assert bruteforce_bound_with_witness(N)[0] == greedy_bound_with_witness(N)[0] == 2
 
 
 def test_bruteforce_range_errors():
     with pytest.raises(ValueError, match="brute force"):
-        lhv_bound_bruteforce(1)
+        bruteforce_bound_with_witness(1)
     with pytest.raises(ValueError, match="allow_slow"):
-        lhv_bound_bruteforce(5)
+        bruteforce_bound_with_witness(5)
     with pytest.raises(ValueError, match="brute force"):
-        lhv_bound_bruteforce(6, allow_slow=True)
+        bruteforce_bound_with_witness(6, allow_slow=True)
 
 
 def test_bruteforce_allow_slow_n5():
-    assert lhv_bound_bruteforce(5, allow_slow=True) == 2
+    assert bruteforce_bound_with_witness(5, allow_slow=True)[0] == 2
 
 
 def test_greedy_witness_clicks_only_positive_gains():
     for N in (3, 6):
         bound, witness = greedy_bound_with_witness(N)
-        gains = click_gains(witness.alpha, witness.alpha_prime, build_functional(N))
+        gains = click_gains(witness.alpha, witness.alpha_prime, N)
         for b in range(N * N):
             clicked = bool(witness.clicks >> b & 1)
             assert clicked == (gains[b] > 0)
@@ -152,7 +142,6 @@ def test_greedy_witness_clicks_only_positive_gains():
 def test_random_strategy_values_even_and_bounded():
     rng = np.random.default_rng(61)
     for N in range(2, 11):
-        f = build_functional(N)
         for _ in range(50):
             # 2^(N*N) overflows int64 from N=8 on, so draw the mask bit by bit
             bits = rng.integers(2, size=N * N)
@@ -162,7 +151,7 @@ def test_random_strategy_values_even_and_bounded():
                 int(rng.integers(N)),
                 sum(int(bit) << b for b, bit in enumerate(bits)),
             )
-            value = strategy_value(s, f)
+            value = strategy_value(s)
             assert value % 2 == 0
             assert -2 * N * N <= value <= 2
 
@@ -170,7 +159,7 @@ def test_random_strategy_values_even_and_bounded():
 def test_bound_dominates_product_states():
     rng = np.random.default_rng(71)
     for N in (2, 3, 4):
-        bound = lhv_bound_greedy(N)
+        bound = greedy_bound_with_witness(N)[0]
         for _ in range(20):
             a = rng.normal(size=N) + 1j * rng.normal(size=N)
             b = rng.normal(size=N) + 1j * rng.normal(size=N)

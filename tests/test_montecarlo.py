@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qunit_bell.functional import (
-    build_functional,
-    build_layout,
+    bell_setup,
     joint_click_table,
     max_entangled_state,
     quantum_value,
@@ -42,6 +41,10 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="seed must be an integer"):
         ExperimentPlan(2, rho, 10, np.float64(1.0))
     ExperimentPlan(2, rho, np.int64(10), np.uint64(2**64 - 1))
+    # Generator.multinomial takes a C long, so 2**63 shots must fail here
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        ExperimentPlan(2, rho, 2**63, 0)
+    ExperimentPlan(2, rho, 2**63 - 1, 0)
 
 
 def test_run_rejects_invalid_density():
@@ -134,40 +137,32 @@ def test_estimate_within_five_sigma_on_random_mixtures(N):
         assert abs(result.b_estimate - quantum_value(rho, N)) <= 5 * result.std_error
         # _outcome_distributions clips the no-click probability marginal - click
         # at 0: on a valid state only float dust may be removed
-        click = joint_click_table(rho, build_layout(N)).probabilities
+        click = joint_click_table(rho, N)
         no_click = click.sum(axis=(2, 3))[:, :, None, None] / N - click
         assert np.clip(-no_click, 0.0, None).sum() <= 1e-12
 
 
+# (N, seed) -> (b_estimate, std_error), pinned to the bit: their summation order
+# is part of the sample output
+PINNED_ESTIMATES = {
+    (2, 7): (2.951, 0.05466014087065638),
+    (3, 2024): (0.6320000000000001, 0.07710233459500432),
+}
+
+
 @pytest.mark.parametrize(
-    "N, seed, state_seed, digest, b_estimate, std_error",
+    "N, seed, state_seed, digest",
     (
-        (
-            2,
-            7,
-            None,
-            "c080ea331697f434934e575a46bfe11c0f088e8da566bdce2b3d9615238335eb",
-            2.951,
-            0.05466014087065638,
-        ),
-        (
-            3,
-            2024,
-            5,
-            "c46c1cfa5ee329f6d0d12ad715a0bf1b590c796f0240584717e64120342cf636",
-            0.6320000000000001,
-            0.07710233459500432,
-        ),
+        (2, 7, None, "c080ea331697f434934e575a46bfe11c0f088e8da566bdce2b3d9615238335eb"),
+        (3, 2024, 5, "c46c1cfa5ee329f6d0d12ad715a0bf1b590c796f0240584717e64120342cf636"),
     ),
 )
-def test_seed_pins_counts(N, seed, state_seed, digest, b_estimate, std_error):
-    # state_seed None is the maximally entangled state, else ginibre_mixture(N, state_seed).
-    # The estimates are pinned to the bit: their summation order is part of the output.
+def test_seed_pins_counts(N, seed, state_seed, digest):
+    # state_seed None is the maximally entangled state, else ginibre_mixture(N, state_seed)
     rho = None if state_seed is None else ginibre_mixture(N, state_seed)
     result = run(make_plan(N=N, shots=1000, seed=seed, rho=rho))
     assert hashlib.sha256(result.counts.tobytes()).hexdigest() == digest
-    assert result.b_estimate == b_estimate
-    assert result.std_error == std_error
+    assert (result.b_estimate, result.std_error) == PINNED_ESTIMATES[N, seed]
 
 
 @pytest.mark.parametrize("N", (2, 3, 5))
@@ -195,7 +190,7 @@ def test_std_error_matches_exact_multinomial_sd(N):
     rho = projector(ket / np.linalg.norm(ket))
     shots = 10**6
     dist = _outcome_distributions(rho, N)
-    c = build_functional(N).coefficients
+    c = bell_setup(N).coefficients
     variance = 0.0
     for x in range(2):
         for v in range(N):
