@@ -2,8 +2,9 @@
 
 Every subcommand prints machine-readable output (JSON, or CSV for `scan
 --format csv`) on stdout and exits 0; failures print a single-line diagnostic
-on stderr and exit nonzero.  Complex numbers are serialized as [re, im]
-pairs.  State files follow the schema
+on stderr and exit nonzero.  If the reader closes stdout early, the command
+exits 141 (128 + SIGPIPE) and prints nothing more.  Complex numbers are
+serialized as [re, im] pairs.  State files follow the schema
 
     {"local_dim": N, "kind": "ket" | "density", "data": ...}
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -60,6 +62,9 @@ def _check_dim_flag(N: int) -> int:
     return N
 
 
+# A NaN or Inf in data is refused with one error line; without this, numpy
+# would first warn on stderr about 1j * inf and the validator's inf - inf.
+@np.errstate(invalid="ignore")
 def load_state_file(path: str, expected_dim: int) -> np.ndarray:
     """Read a state file and return it as a validated density matrix."""
     with open(path, encoding="utf-8") as handle:
@@ -298,6 +303,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
+    except BrokenPipeError:
+        # The reader left (`| head -1`): exit as SIGPIPE would, silently, with
+        # stdout on devnull so the buffered rest cannot raise again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

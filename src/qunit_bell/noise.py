@@ -42,38 +42,42 @@ class NoiseFamily:
 
 
 @lru_cache(maxsize=8)
-def _noise_parts(kind: str, N: int) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Read-only O(N^2) pieces of the noisy state for (kind, N).
+def _noise_parts(kind: str, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only O(N^2) float64 pieces of the noisy state for (kind, N).
 
-    sigma is diagonal for both kinds, so this holds its diagonal, the index of
-    the |kk> block where |psi> = (1/sqrt(N)) sum_k |kk> is nonzero, and
-    |psi><psi| on that block.  No d x d array is cached: at N = 64 one takes
-    268 MB.
+    sigma is diagonal for both kinds, so this holds its diagonal, the flat
+    positions in rho.reshape(-1) of the |kk> block where |psi> = (1/sqrt(N))
+    sum_k |kk> is nonzero, and |psi><psi| on that block.  No d x d array is
+    cached: at N = 64 one takes 134 MB.
     """
     d = N * N
     diag = np.arange(N) * (N + 1)
     if kind == KIND_UNCOLORED:
-        sigma_diag = np.full(d, 1.0 / d, dtype=complex)
+        sigma_diag = np.full(d, 1.0 / d)
     else:
-        sigma_diag = np.zeros(d, dtype=complex)
+        sigma_diag = np.zeros(d)
         sigma_diag[diag] = 1.0 / N
-    amplitudes = max_entangled_state(N)[diag]
-    block_index = np.ix_(diag, diag)
-    block = np.outer(amplitudes, amplitudes.conj())
-    for array in (sigma_diag, *block_index, block):
+    amplitudes = max_entangled_state(N)[diag].real
+    positions = diag[:, None] * d + diag
+    block = np.outer(amplitudes, amplitudes)
+    for array in (sigma_diag, positions, block):
         array.flags.writeable = False
-    return sigma_diag, block_index, block
+    return sigma_diag, positions, block
 
 
 def mixed_state(family: NoiseFamily) -> np.ndarray:
-    """Density matrix of the noisy state on the N^2-dimensional joint space."""
-    sigma_diag, block_index, block = _noise_parts(family.kind, family.dim)
+    """Density matrix of the noisy state on the N^2-dimensional joint space.
+
+    Both families are real in the computational basis, so rho is float64.
+    """
+    sigma_diag, positions, block = _noise_parts(family.kind, family.dim)
     d = sigma_diag.shape[0]
-    rho = np.zeros((d, d), dtype=complex)
-    rho.reshape(-1)[:: d + 1] = (1.0 - family.lam) * sigma_diag
+    rho = np.zeros((d, d))
+    flat = rho.reshape(-1)
+    flat[:: d + 1] = (1.0 - family.lam) * sigma_diag
     # |psi><psi| vanishes outside the |kk> block, so adding it there alone
     # gives lam * |psi><psi| + (1 - lam) * sigma bit for bit.
-    rho[block_index] += family.lam * block
+    flat[positions] += family.lam * block
     return rho
 
 

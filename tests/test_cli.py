@@ -450,6 +450,35 @@ def test_entry_point_exit_status():
     assert bad.stderr.decode().startswith("error:")
 
 
+def test_closed_stdout_pipe_exits_quietly():
+    # `qunit-bell sample --dim 12 ... | head -1`: the 193 kB of JSON outgrow the
+    # pipe buffer, so the write is still under way when the reader leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qunit_bell", "sample", "--dim", "12", "--shots", "10", "--seed", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141  # 128 + SIGPIPE
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("part", (0, 1), ids=("real", "imaginary"))
+def test_non_finite_density_file_gives_one_error_line(tmp_path, part):
+    data = density_payload(np.eye(4) / 4)
+    data[0][1][part] = data[1][0][part] = float("inf")  # JSON's Infinity
+    state = write_state(tmp_path / "inf.json", 2, "density", data)
+    result = subprocess.run(
+        [sys.executable, "-m", "qunit_bell", "quantum-value", "--dim", "2", "--state", state],
+        capture_output=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr.decode() == "error: non-finite entries (NaN/Inf) are not admitted\n"
+
+
 def test_readme_library_block_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library\n+```python\n(.*?)```", readme, re.S)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -271,8 +273,9 @@ def test_real_states_are_factored_in_real_arithmetic(N, cholesky_dtypes):
         for kind in (KIND_UNCOLORED, KIND_CLOSEST_SEPARABLE)
         for lam in (0.0, 0.4, 1.0)
     ]
+    # mixed_state builds float64, projector complex128 with every imaginary part zero
+    assert [rho.dtype for rho in real_states] == [np.dtype(complex)] + [np.dtype(float)] * 6
     for rho in real_states:
-        assert rho.dtype == complex
         assert validate_density_matrix(rho) is rho
     assert cholesky_dtypes == [np.dtype(np.float64)] * len(real_states)
     cholesky_dtypes.clear()
@@ -288,6 +291,8 @@ def with_imaginary(rho, entry, value):
     return rho
 
 
+# inf - inf in the Hermiticity defect warns before the validator refuses the input
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "rho,message",
     (
@@ -307,3 +312,78 @@ def test_rejection_messages_for_real_inputs(rho, message):
         with pytest.raises(ValueError) as exc:
             validate_density_matrix(state)
         assert str(exc.value) == message
+
+
+NON_FINITE = "non-finite entries (NaN/Inf) are not admitted"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf), ids=("nan", "+inf", "-inf"))
+@pytest.mark.parametrize(
+    "shape,cells,imaginary",
+    (
+        ((3, 3), [(1, 1)], False),
+        ((3, 3), [(0, 2)], False),
+        ((3, 3), [(0, 2), (2, 0)], False),  # inf - inf = nan in the defect
+        ((3, 3), [(1, 1)], True),
+        ((3, 3), [(0, 2)], True),
+        ((3, 3), [(0, 2), (2, 0)], True),  # +value, -value: Hermitian, so the imaginary parts cancel
+        ((2, 3), [(0, 1)], False),  # the non-finite message comes before "must be square"
+    ),
+    ids=(
+        "diagonal",
+        "off-diagonal",
+        "symmetric-pair",
+        "imaginary-diagonal",
+        "imaginary-off-diagonal",
+        "imaginary-hermitian-pair",
+        "non-square",
+    ),
+)
+def test_every_non_finite_placement_is_refused(shape, cells, imaginary, value):
+    rho = np.eye(*shape) / 3
+    if imaginary:
+        rho = rho.astype(complex)
+        for sign, cell in zip((1, -1), cells):
+            rho[cell] = complex(rho[cell].real, sign * value)
+        states = [rho]
+    else:
+        for cell in cells:
+            rho[cell] = value
+        states = [rho, rho.astype(complex)]
+    for state in states:
+        with pytest.raises(ValueError) as exc:
+            validate_density_matrix(state)
+        assert str(exc.value) == NON_FINITE
+
+
+@pytest.mark.parametrize(
+    "rho,dtype",
+    (
+        (np.eye(2) / 2, np.float64),
+        (np.eye(2, dtype=np.float32) / 2, np.float64),
+        ([[1, 0], [0, 0]], np.float64),
+        ([[0.5, 0.5j], [-0.5j, 0.5]], np.complex128),
+        (np.eye(2, dtype=np.complex64) / 2, np.complex128),
+        (np.eye(2, dtype=complex) / 2, np.complex128),
+    ),
+)
+def test_return_dtype_follows_input(rho, dtype):
+    out = validate_density_matrix(rho)
+    assert out.dtype == dtype
+    assert np.array_equal(out, rho)
+    # no conversion needed: the caller's own array comes back
+    assert (out is rho) == (isinstance(rho, np.ndarray) and rho.dtype == dtype)
+
+
+def test_real_validation_holds_two_arrays_at_peak():
+    d = 1024
+    rho = projector(max_entangled_state(32)).real.copy()
+    tracemalloc.start()
+    try:
+        assert validate_density_matrix(rho) is rho
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the shifted working copy and one more d x d array: the defect's temporary, then the factor
+    assert peak < 2.5 * 8 * d * d

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import qunit_bell.noise as noise
-from qunit_bell.functional import max_entangled_state, quantum_value
+from qunit_bell.functional import joint_click_table, max_entangled_state, quantum_value
 from qunit_bell.linalg import projector, validate_density_matrix
+from qunit_bell.montecarlo import ExperimentPlan, run
 from qunit_bell.noise import (
     KIND_CLOSEST_SEPARABLE,
     KIND_UNCOLORED,
@@ -128,8 +129,9 @@ def test_mixed_state_bit_identical_to_reference(kind, N):
     for lam in (0.0, 0.123456789, 0.3, 1.0, *PINNED_THRESHOLDS[kind]):
         family = NoiseFamily(kind, N, lam)
         got, want = mixed_state(family), reference_mixed_state(family)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert not want.imag.any()
+        assert got.tobytes() == want.real.tobytes()  # also tells -0.0 from 0.0
 
 
 # threshold_numeric bisects on B_N's sign, so any change in a state entry or in
@@ -175,7 +177,23 @@ def test_mutating_mixed_state_leaves_next_call_intact(kind):
     first = mixed_state(family)
     want = first.tobytes()
     first[:] = 7.0
-    assert mixed_state(family).tobytes() == want == reference_mixed_state(family).tobytes()
+    reference = reference_mixed_state(family)
+    assert not reference.imag.any()
+    assert mixed_state(family).tobytes() == want == reference.real.tobytes()
+
+
+@pytest.mark.parametrize("N", (2, 3, 6))
+@pytest.mark.parametrize("kind", KINDS)
+def test_float64_states_pass_through_every_caller(kind, N):
+    rho = mixed_state(NoiseFamily(kind, N, 0.37))
+    as_complex = rho.astype(complex)
+    assert joint_click_table(rho, N).tobytes() == joint_click_table(as_complex, N).tobytes()
+    got, want = (run(ExperimentPlan(N, state, 1000, 5)) for state in (rho, as_complex))
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert (got.b_estimate, got.std_error) == (want.b_estimate, want.std_error)
+    # BLAS sums the contiguous float64 gather and the strided .real of the
+    # complex one in different orders, so B_N may differ in the last digits
+    assert abs(quantum_value(rho, N) - quantum_value(as_complex, N)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
