@@ -9,7 +9,9 @@ serialized as [re, im] pairs.  State files follow the schema
     {"local_dim": N, "kind": "ket" | "density", "data": ...}
 
 with ket data a flat length-N^2 array of [re, im] pairs and density data an
-N^2 x N^2 row-major matrix of such pairs.
+N^2 x N^2 row-major matrix of such pairs.  load_state_file refuses a file over
+its size budget unread and checks only what a file can get wrong; the library
+call that takes the state validates it once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .bases import (
 )
 from .functional import build_layout, max_entangled_state, quantum_value
 from .lhv import bruteforce_bound_with_witness, greedy_bound_with_witness
-from .linalg import NORM_REJECT, projector, validate_density_matrix
+from .linalg import NORM_REJECT, _check_finite, norm_deviation, projector
 from .montecarlo import ExperimentPlan, run
 from .noise import (
     KIND_CLOSEST_SEPARABLE,
@@ -45,13 +48,15 @@ MAX_DIM = 64
 
 _NOISE_KINDS = {"uncolored": KIND_UNCOLORED, "separable": KIND_CLOSEST_SEPARABLE}
 _JSON_NAMES = {bool: "booleans", str: "strings", type(None): "nulls"}
+# Budget of a state file for --dim N, per number of an N^2 x N^2 density matrix
+# plus a fixed part; json.dump of a random rho takes ~53 bytes per number at indent=4.
+STATE_FILE_BYTES_PER_NUMBER = 64
+STATE_FILE_BASE_BYTES = 2**20
 
 
 def _encode_complex(array: np.ndarray) -> list:
     """Nested lists with each complex entry as an [re, im] pair."""
-    if array.ndim == 1:
-        return [[z.real, z.imag] for z in array]
-    return [_encode_complex(row) for row in array]
+    return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
 def _check_dim_flag(N: int) -> int:
@@ -62,16 +67,19 @@ def _check_dim_flag(N: int) -> int:
     return N
 
 
-# A NaN or Inf in data is refused with one error line; without this, numpy
-# would first warn on stderr about 1j * inf and the validator's inf - inf.
-@np.errstate(invalid="ignore")
 def load_state_file(path: str, expected_dim: int) -> np.ndarray:
-    """Read a state file and return it as a validated density matrix."""
+    """Read a state file as an N^2 x N^2 complex matrix that the library has yet to validate."""
+    budget = STATE_FILE_BYTES_PER_NUMBER * 2 * expected_dim**4 + STATE_FILE_BASE_BYTES
     with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
+        if (size := os.fstat(handle.fileno()).st_size) > budget:  # refused unread
+            raise ValueError(f"state file {path} has {size} bytes, over the {budget}-byte budget for --dim {expected_dim}")
+        # a pipe or a device reports size 0, so the read is bounded as well
+        if len(text := handle.read(budget + 1)) > budget:
+            raise ValueError(f"state file {path} has more than {budget} bytes, the budget for --dim {expected_dim}")
+    try:
+        document = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"state file {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ValueError(f"state file {path} must contain a JSON object")
     for field in ("local_dim", "kind", "data"):
@@ -90,19 +98,20 @@ def load_state_file(path: str, expected_dim: int) -> np.ndarray:
         data = np.asarray(document["data"], dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"state file data is not numeric: {exc}") from exc
-    # float() also takes numeric strings, booleans and null (as NaN)
-    for leaf in np.asarray(document["data"], dtype=object).flat:
-        if type(leaf) not in (int, float):
-            name = _JSON_NAMES.get(type(leaf), "non-numbers")
-            raise ValueError(f"state file data is not numeric: it contains {name}, e.g. {leaf!r}")
+    # float() also takes numeric strings, booleans and null (as NaN); data.ndim is the lists' depth
+    leaves = [document["data"]]
+    for _ in range(data.ndim):
+        leaves = list(chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {int, float}:
+        leaf = next(x for x in leaves if type(x) not in (int, float))
+        raise ValueError(f"state file data is not numeric: it contains {_JSON_NAMES[type(leaf)]}, e.g. {leaf!r}")
     if kind == "ket":
         if data.shape != (d, 2):
             raise ValueError(
                 f"ket data must be a flat length-{d} array of [re, im] pairs, got shape {tuple(data.shape)}"
             )
-        ket = data[:, 0] + 1j * data[:, 1]
-        norm_dev = abs(float(np.linalg.norm(ket)) - 1.0)
-        if norm_dev > NORM_REJECT:
+        ket = data.view(complex)[:, 0]  # each [re, im] pair read in place as one complex128
+        if (norm_dev := norm_deviation(ket)) > NORM_REJECT:
             raise ValueError(f"ket norm deviates from 1 by {norm_dev:.3e}")
         return projector(ket)
     if kind == "density":
@@ -110,7 +119,12 @@ def load_state_file(path: str, expected_dim: int) -> np.ndarray:
             raise ValueError(
                 f"density data must be a {d}x{d} row-major matrix of [re, im] pairs, got shape {tuple(data.shape)}"
             )
-        return validate_density_matrix(data[..., 0] + 1j * data[..., 1])
+        # Refused before any arithmetic, so that numpy prints no warning: NaN/Inf,
+        # and entries so large that the library's rho - rho^dagger or Tr rho overflows.
+        limit = np.finfo(float).max / (2 * d)
+        if (peak := max(_check_finite(data).max(), -data.min())) >= limit:
+            raise ValueError(f"density data entries must be smaller than {limit:.3e} in magnitude, got {peak:.3e}")
+        return data.view(complex)[..., 0]
     raise ValueError(f"unknown state kind {kind!r}, expected 'ket' or 'density'")
 
 

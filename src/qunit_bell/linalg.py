@@ -51,12 +51,17 @@ def hermiticity_defect(op: np.ndarray) -> float:
     return float(np.abs(diff, out=diff).real.max())
 
 
+def norm_deviation(v: np.ndarray) -> float:
+    """| ||v|| - 1 |; a norm beyond the float range reads inf, without numpy's overflow warning."""
+    with np.errstate(over="ignore"):
+        return abs(float(np.linalg.norm(v)) - 1.0)
+
+
 def projector(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of a normalized ket."""
     v = _as_complex(v)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > NORM_REJECT:
-        raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    if (norm_dev := norm_deviation(v)) > NORM_REJECT:
+        raise ValueError(f"ket is not normalized: |norm - 1| = {norm_dev:.3e}")
     return np.outer(v, v.conj())
 
 
@@ -67,9 +72,8 @@ def schmidt_spectrum(psi: np.ndarray, local_dim: int) -> np.ndarray:
         raise ValueError(
             f"state of length {psi.shape[0]} is not bipartite over local dimension {local_dim}"
         )
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_REJECT:
-        raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    if (norm_dev := norm_deviation(psi)) > NORM_REJECT:
+        raise ValueError(f"ket is not normalized: |norm - 1| = {norm_dev:.3e}")
     singular = np.linalg.svd(psi.reshape(local_dim, local_dim), compute_uv=False)
     return singular**2
 

@@ -1,15 +1,23 @@
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qunit_bell.bases import intermediate_family
+import qunit_bell.cli as cli
+import qunit_bell.functional as functional
+import qunit_bell.linalg as linalg
+from qunit_bell.bases import computational_basis, fourier_basis, intermediate_family
 from qunit_bell.cli import main
-from qunit_bell.functional import max_entangled_state
+from qunit_bell.functional import build_layout, max_entangled_state
 from qunit_bell.linalg import projector
 from qunit_bell.montecarlo import ExperimentPlan, run
 
@@ -20,6 +28,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_in_process(*argv):
+    """main(argv) -> (exit code, stdout, stderr lines), numpy's warnings included.
+
+    A warning would reach a real process's stderr, so each one counts as a
+    line there.  Needs no pytest fixture, so hypothesis tests can call it.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    lines = err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}" for w in caught]
+    return code, out.getvalue(), lines
 
 
 def decode(pairs):
@@ -477,6 +499,189 @@ def test_non_finite_density_file_gives_one_error_line(tmp_path, part):
     assert result.returncode == 1
     assert result.stdout == b""
     assert result.stderr.decode() == "error: non-finite entries (NaN/Inf) are not admitted\n"
+
+
+COMMANDS = pytest.mark.parametrize(
+    "command", (("quantum-value",), ("sample", "--shots", "10", "--seed", "1")), ids=lambda c: c[0]
+)
+
+
+@COMMANDS
+@pytest.mark.parametrize(
+    "i,j,part",
+    ((0, 0, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1)),
+    ids=("diagonal-real", "diagonal-imaginary", "off-diagonal-real", "off-diagonal-imaginary"),
+)
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")), ids=str)
+def test_non_finite_density_entries_give_one_error_line(tmp_path, value, i, j, part, command):
+    data = density_payload(np.eye(4) / 4)
+    data[i][j][part] = data[j][i][part] = value  # JSON's NaN, Infinity, -Infinity
+    state = write_state(tmp_path / "state.json", 2, "density", data)
+    code, stdout, stderr = run_cli_in_process(*command, "--dim", "2", "--state", state)
+    assert (code, stdout) == (1, "")
+    assert stderr == ["error: non-finite entries (NaN/Inf) are not admitted"]
+
+
+@COMMANDS
+def test_density_entries_near_float_max_give_one_error_line(tmp_path, command):
+    # at N = 2 the file refuses magnitudes from float max / 8 up, where the
+    # validator's rho - rho^dagger or Tr rho could overflow; below, the library decides
+    limit = np.finfo(float).max / 8
+    for value, message in (
+        (limit, f"error: density data entries must be smaller than {limit:.3e} in magnitude, got {limit:.3e}"),
+        (limit / 2, f"error: density matrix trace deviates from 1 by {limit:.3e}"),
+    ):
+        data = density_payload(projector(max_entangled_state(2)))
+        data[0][0][0] = data[1][1][0] = value
+        state = write_state(tmp_path / "state.json", 2, "density", data)
+        code, stdout, stderr = run_cli_in_process(*command, "--dim", "2", "--state", state)
+        assert (code, stdout, stderr) == (1, "", [message])
+
+
+@COMMANDS
+@pytest.mark.parametrize("part", (0, 1), ids=("real", "imaginary"))
+@pytest.mark.parametrize(
+    "value,message",
+    (
+        (float("inf"), "error: ket norm deviates from 1 by inf"),
+        (float("-inf"), "error: ket norm deviates from 1 by inf"),
+        (float("nan"), "error: non-finite entries (NaN/Inf) are not admitted"),
+    ),
+    ids=("inf", "-inf", "nan"),
+)
+def test_non_finite_ket_entries_give_one_error_line(tmp_path, value, message, part, command):
+    data = ket_payload(max_entangled_state(2))
+    data[1][part] = value
+    state = write_state(tmp_path / "state.json", 2, "ket", data)
+    code, stdout, stderr = run_cli_in_process(*command, "--dim", "2", "--state", state)
+    assert (code, stdout, stderr) == (1, "", [message])
+
+
+@COMMANDS
+@pytest.mark.parametrize("kind", ("ket", "density"))
+def test_state_file_is_validated_once(tmp_path, monkeypatch, kind, command):
+    validate = linalg.validate_density_matrix
+    calls = []
+
+    def counting(rho):
+        calls.append(rho.shape)
+        return validate(rho)
+
+    # every module-level binding, so a check in the command line would count too
+    for module in (linalg, functional, cli):
+        if hasattr(module, "validate_density_matrix"):
+            monkeypatch.setattr(module, "validate_density_matrix", counting)
+    psi = max_entangled_state(2)
+    data = ket_payload(psi) if kind == "ket" else density_payload(projector(psi))
+    state = write_state(tmp_path / "state.json", 2, kind, data)
+    code, stdout, stderr = run_cli_in_process(*command, "--dim", "2", "--state", state)
+    assert (code, stderr) == (0, [])
+    json.loads(stdout)
+    assert calls == [(4, 4)]
+
+
+def state_file_budget(N):
+    return cli.STATE_FILE_BYTES_PER_NUMBER * 2 * N**4 + cli.STATE_FILE_BASE_BYTES
+
+
+@pytest.mark.parametrize("N", (2, 3))
+def test_state_file_over_budget_is_refused_unread(tmp_path, N):
+    # a sparse file: truncate() sets the size without writing the bytes, and
+    # the message is fstat's, not the bounded read's
+    path = tmp_path / "huge.json"
+    path.touch()
+    os.truncate(path, state_file_budget(N) + 1)
+    code, stdout, stderr = run_cli_in_process("quantum-value", "--dim", str(N), "--state", str(path))
+    assert (code, stdout) == (1, "")
+    assert stderr == [
+        f"error: state file {path} has {state_file_budget(N) + 1} bytes, "
+        f"over the {state_file_budget(N)}-byte budget for --dim {N}"
+    ]
+
+
+def test_state_stream_over_budget_is_refused(tmp_path):
+    # a pipe reports size 0, so only a bounded read can refuse it
+    fifo = tmp_path / "state.fifo"
+    os.mkfifo(fifo)
+    budget = state_file_budget(2)
+
+    def feed():
+        with open(fifo, "w") as pipe:
+            pipe.write(" " * (budget + 1))
+
+    writer = threading.Thread(target=feed, daemon=True)  # never blocks the exit
+    writer.start()
+    code, stdout, stderr = run_cli_in_process("quantum-value", "--dim", "2", "--state", str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (code, stdout) == (1, "")
+    assert stderr == [f"error: state file {fifo} has more than {budget} bytes, the budget for --dim 2"]
+
+
+def test_state_file_at_budget_is_read(tmp_path):
+    # JSON admits trailing whitespace, so padding keeps the file valid
+    path = tmp_path / "padded.json"
+    text = json.dumps({"local_dim": 2, "kind": "ket", "data": ket_payload(max_entangled_state(2))})
+    path.write_text(text.ljust(state_file_budget(2)))
+    code, stdout, stderr = run_cli_in_process("quantum-value", "--dim", "2", "--state", str(path))
+    assert (code, stderr) == (0, [])
+    path.write_text(text.ljust(state_file_budget(2) + 1))
+    code, stdout, stderr = run_cli_in_process("quantum-value", "--dim", "2", "--state", str(path))
+    assert code == 1
+    assert len(stderr) == 1 and "budget" in stderr[0]
+
+
+@pytest.mark.parametrize("N", (2, 3, 6))
+def test_budget_admits_indent_4_files(tmp_path, N):
+    rng = np.random.default_rng(N)
+    g = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"local_dim": N, "kind": "density", "data": density_payload(rho)}, indent=4))
+    # the per-number allowance alone covers the file, without the fixed one
+    assert path.stat().st_size <= cli.STATE_FILE_BYTES_PER_NUMBER * 2 * N**4
+    code, stdout, stderr = run_cli_in_process("quantum-value", "--dim", str(N), "--state", str(path))
+    assert (code, stderr) == (0, [])
+
+
+def reference_encode_complex(array):
+    """The recursive [re, im] encoder that numpy's stack-and-tolist replaced."""
+    if array.ndim == 1:
+        return [[z.real, z.imag] for z in array]
+    return [reference_encode_complex(row) for row in array]
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_construct_file_matches_reference_encoder_bytes(tmp_path, N):
+    out = tmp_path / "family.json"
+    code, _, stderr = run_cli_in_process("construct", "--dim", str(N), "--out", str(out))
+    assert (code, stderr) == (0, [])
+    family = intermediate_family(N)
+    document = {
+        "local_dim": N,
+        "normalization": family.normalization,
+        "computational_basis": reference_encode_complex(computational_basis(N)),
+        "fourier_basis": reference_encode_complex(fourier_basis(N)),
+        "phases": family.phases.tolist(),
+        "intermediate_states": reference_encode_complex(family.states),
+        "value_assignment": build_layout(N).tolist(),
+    }
+    assert out.read_bytes() == (json.dumps(document, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("shape", ((6,), (3, 4), (2, 3, 4)), ids=str)
+@pytest.mark.parametrize("dtype", (complex, float))
+def test_encoders_agree_on_signed_zeros_subnormals_and_huge_values(shape, dtype):
+    rng = np.random.default_rng(len(shape))
+    values = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1])
+    array = np.empty(shape, dtype)
+    array.real = rng.choice(values, size=shape)
+    if dtype is complex:
+        array.imag = rng.choice(values, size=shape)  # set in place: z + 1j*y would drop -0.0
+    encoded = json.dumps(cli._encode_complex(array))
+    assert encoded == json.dumps(reference_encode_complex(array))
+    assert "-0.0" in encoded and "5e-324" in encoded and "1e+308" in encoded
 
 
 def test_readme_library_block_runs():
