@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints machine-readable output (JSON, or CSV for `scan
---format csv`) on stdout and exits 0; failures print a single-line diagnostic
-on stderr and exit nonzero.  If the reader closes stdout early, the command
-exits 141 (128 + SIGPIPE) and prints nothing more.  Complex numbers are
-serialized as [re, im] pairs.  State files follow the schema
+--format csv`) on stdout and exits 0; failures, malformed arguments included,
+print a single-line diagnostic on stderr and exit 1.  If the reader closes
+stdout early, the command exits 141 (128 + SIGPIPE) and prints nothing more.
+Complex numbers are serialized as [re, im] pairs.  State files follow the schema
 
     {"local_dim": N, "kind": "ket" | "density", "data": ...}
 
@@ -33,8 +33,8 @@ from .bases import (
 )
 from .functional import build_layout, max_entangled_state, quantum_value
 from .lhv import bruteforce_bound_with_witness, greedy_bound_with_witness
-from .linalg import NORM_REJECT, _check_finite, norm_deviation, projector
-from .montecarlo import ExperimentPlan, run
+from .linalg import _check_finite, projector
+from .montecarlo import ExperimentPlan, _check_shots_and_seed, run
 from .noise import (
     KIND_CLOSEST_SEPARABLE,
     KIND_UNCOLORED,
@@ -59,12 +59,11 @@ def _encode_complex(array: np.ndarray) -> list:
     return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
-def _check_dim_flag(N: int) -> int:
+def _check_dim_flag(N: int) -> None:
     if N < 2:
         raise ValueError(f"--dim must be at least 2, got {N}")
     if N > MAX_DIM:
         raise ValueError(f"--dim must be at most {MAX_DIM}, got {N}")
-    return N
 
 
 def load_state_file(path: str, expected_dim: int) -> np.ndarray:
@@ -110,10 +109,7 @@ def load_state_file(path: str, expected_dim: int) -> np.ndarray:
             raise ValueError(
                 f"ket data must be a flat length-{d} array of [re, im] pairs, got shape {tuple(data.shape)}"
             )
-        ket = data.view(complex)[:, 0]  # each [re, im] pair read in place as one complex128
-        if (norm_dev := norm_deviation(ket)) > NORM_REJECT:
-            raise ValueError(f"ket norm deviates from 1 by {norm_dev:.3e}")
-        return projector(ket)
+        return projector(data.view(complex)[:, 0])  # each [re, im] pair read in place as one complex128
     if kind == "density":
         if data.shape != (d, d, 2):
             raise ValueError(
@@ -128,10 +124,10 @@ def load_state_file(path: str, expected_dim: int) -> np.ndarray:
     raise ValueError(f"unknown state kind {kind!r}, expected 'ket' or 'density'")
 
 
-def _resolve_state(args, N: int) -> np.ndarray:
+def _resolve_state(args) -> np.ndarray:
     if args.state is not None:
-        return load_state_file(args.state, N)
-    return projector(max_entangled_state(N))
+        return load_state_file(args.state, args.dim)
+    return projector(max_entangled_state(args.dim))
 
 
 def _print_json(payload) -> None:
@@ -139,7 +135,7 @@ def _print_json(payload) -> None:
 
 
 def cmd_construct(args) -> None:
-    N = _check_dim_flag(args.dim)
+    N = args.dim
     family = intermediate_family(N)
     document = {
         "local_dim": N,
@@ -157,8 +153,8 @@ def cmd_construct(args) -> None:
 
 
 def cmd_quantum_value(args) -> None:
-    N = _check_dim_flag(args.dim)
-    rho = _resolve_state(args, N)
+    N = args.dim
+    rho = _resolve_state(args)
     _print_json(
         {
             "dim": N,
@@ -170,7 +166,7 @@ def cmd_quantum_value(args) -> None:
 
 
 def cmd_lhv(args) -> None:
-    N = _check_dim_flag(args.dim)
+    N = args.dim
     if args.brute_force:
         bound, witness = bruteforce_bound_with_witness(N, allow_slow=args.allow_slow)
         method = "brute-force"
@@ -192,7 +188,7 @@ def cmd_lhv(args) -> None:
 
 
 def cmd_noise(args) -> None:
-    N = _check_dim_flag(args.dim)
+    N = args.dim
     if args.kind not in _NOISE_KINDS:
         raise ValueError(
             f"unknown noise kind {args.kind!r}, expected 'uncolored' or 'separable'"
@@ -238,23 +234,17 @@ def cmd_scan(args) -> None:
             }
         )
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["dim", "quantum_max", "lhv_bound", "lambda_mix", "lambda_sep"])
-        for row in rows:
-            writer.writerow(
-                [row["dim"], row["quantum_max"], row["lhv_bound"], row["lambda_mix"], row["lambda_sep"]]
-            )
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     else:
         _print_json(rows)
 
 
 def cmd_sample(args) -> None:
-    N = _check_dim_flag(args.dim)
-    if not 1 <= args.shots < 2**63:
-        raise ValueError(f"--shots must be at least 1 and below 2**63, got {args.shots}")
-    if not 0 <= args.seed < 2**64:
-        raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
-    rho = _resolve_state(args, N)
+    N = args.dim
+    _check_shots_and_seed(args.shots, args.seed, ("--shots", "--seed"))
+    rho = _resolve_state(args)
     result = run(ExperimentPlan(N, rho, args.shots, args.seed))
     _print_json(
         {
@@ -270,31 +260,36 @@ def cmd_sample(args) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors leave through main's one `error:` line, not argparse's usage and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qunit-bell",
         description="Bell inequality B_N for two N-dimensional systems with binary intermediate-state measurements",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
+    dim = argparse.ArgumentParser(add_help=False)
+    dim.add_argument("--dim", type=int, required=True)
 
-    p = sub.add_parser("construct", help="write bases, intermediate states and value table to a JSON file")
-    p.add_argument("--dim", type=int, required=True)
+    p = sub.add_parser("construct", parents=[dim], help="write bases, intermediate states and value table to a JSON file")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("quantum-value", help="evaluate B_N for a state (default: maximally entangled)")
-    p.add_argument("--dim", type=int, required=True)
+    p = sub.add_parser("quantum-value", parents=[dim], help="evaluate B_N for a state (default: maximally entangled)")
     p.add_argument("--state", default=None)
     p.set_defaults(handler=cmd_quantum_value)
 
-    p = sub.add_parser("lhv", help="local-hidden-variable bound with a witnessing strategy")
-    p.add_argument("--dim", type=int, required=True)
+    p = sub.add_parser("lhv", parents=[dim], help="local-hidden-variable bound with a witnessing strategy")
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("--allow-slow", action="store_true")
     p.set_defaults(handler=cmd_lhv)
 
-    p = sub.add_parser("noise", help="noise threshold where B_N drops to the classical limit")
-    p.add_argument("--dim", type=int, required=True)
+    p = sub.add_parser("noise", parents=[dim], help="noise threshold where B_N drops to the classical limit")
     p.add_argument("--kind", required=True)
     p.set_defaults(handler=cmd_noise)
 
@@ -303,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_scan)
 
-    p = sub.add_parser("sample", help="finite-shot simulation of the experiment")
-    p.add_argument("--dim", type=int, required=True)
+    p = sub.add_parser("sample", parents=[dim], help="finite-shot simulation of the experiment")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--state", default=None)
@@ -314,8 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if "dim" in args:  # every subcommand but scan
+            _check_dim_flag(args.dim)
         args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's final flush
     except BrokenPipeError:

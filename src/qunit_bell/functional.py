@@ -143,7 +143,8 @@ def quantum_value(rho: np.ndarray, N: int) -> float:
     N = _check_dim(N)
     rho = _validated_state(rho, N)
     setup = bell_setup(N)
-    return float(setup.weights @ rho.ravel()[setup.index].real)
+    # contiguous for either dtype, so float64 and complex128 rho sum in the same order
+    return float(setup.weights @ np.ascontiguousarray(rho.ravel()[setup.index].real))
 
 
 def bell_operator(N: int) -> np.ndarray:

@@ -19,6 +19,15 @@ from .functional import bell_setup, joint_click_table
 GENERATOR_NAME = "philox4x64"
 
 
+def _check_shots_and_seed(shots, seed, names=("shots_per_combination", "seed")) -> None:
+    """Refuse shots outside 1 <= shots < 2**63 or a seed outside 0 <= seed < 2**64, by the given names."""
+    # Generator.multinomial takes a C long: 2**63 would raise OverflowError
+    if not 1 <= _check_int(shots, names[0]) < 2**63:
+        raise ValueError(f"{names[0]} must be at least 1 and below 2**63, got {shots}")
+    if not 0 <= _check_int(seed, names[1]) < 2**64:
+        raise ValueError(f"{names[1]} must fit in 64 unsigned bits, got {seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """State, per-combination shot budget and RNG seed for one simulated run."""
@@ -29,13 +38,7 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        # Generator.multinomial takes a C long: 2**63 would raise OverflowError
-        if not 1 <= _check_int(self.shots_per_combination, "shots_per_combination") < 2**63:
-            raise ValueError(
-                f"shots_per_combination must be at least 1 and below 2**63, got {self.shots_per_combination}"
-            )
-        if not 0 <= _check_int(self.seed, "seed") < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_shots_and_seed(self.shots_per_combination, self.seed)
 
 
 @dataclass(frozen=True)

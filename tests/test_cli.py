@@ -558,6 +558,37 @@ def test_non_finite_ket_entries_give_one_error_line(tmp_path, value, message, pa
 
 
 @COMMANDS
+@pytest.mark.parametrize("deviation", (2e-10, -2e-10, 2e-9, 1e-8), ids=str)
+def test_ket_file_norm_rule_is_the_trace_rule(tmp_path, deviation, command):
+    # <psi|psi> - 1 = deviation; the file's ket meets the 1e-10 of a density trace
+    psi = max_entangled_state(2) * np.sqrt(1.0 + deviation)
+    state = write_state(tmp_path / "state.json", 2, "ket", ket_payload(psi))
+    code, stdout, stderr = run_cli_in_process(*command, "--dim", "2", "--state", state)
+    assert (code, stdout, stderr) == (1, "", [f"error: ket norm deviates from 1 by {abs(deviation):.3e}"])
+
+
+@COMMANDS
+def test_ket_file_within_trace_rule_is_accepted(tmp_path, command):
+    psi = max_entangled_state(2) * np.sqrt(1.0 + 1e-11)
+    state = write_state(tmp_path / "state.json", 2, "ket", ket_payload(psi))
+    code, stdout, stderr = run_cli_in_process(*command, "--dim", "2", "--state", state)
+    assert (code, stderr) == (0, [])
+    json.loads(stdout)
+
+
+@pytest.mark.parametrize("command", (None, "construct", "quantum-value", "lhv", "noise", "scan", "sample"))
+def test_help_exits_zero_on_stdout(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0
+    assert captured.out.startswith(f"usage: qunit-bell {command or ''}".rstrip())
+    assert captured.err == ""
+    if command not in (None, "scan"):
+        assert "--dim DIM" in captured.out
+
+
+@COMMANDS
 @pytest.mark.parametrize("kind", ("ket", "density"))
 def test_state_file_is_validated_once(tmp_path, monkeypatch, kind, command):
     validate = linalg.validate_density_matrix

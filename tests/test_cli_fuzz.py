@@ -4,8 +4,10 @@
 hypothesis draws: arbitrary JSON, and schema-shaped objects whose data mixes
 numbers, booleans, null, numeric and other strings, 10**400 and
 NaN/±Infinity, in the right shape or in ragged and mis-shaped lists.  The
-integer flags --dim, --shots and --seed range over ±2**65.  Each run must end
-in one of two ways:
+integer flags --dim, --shots and --seed range over ±2**65, and malformed
+argument vectors (a required flag dropped, an integer flag given a token int()
+refuses, an unknown flag, no subcommand) reach every subcommand.  Each run must
+end in one of two ways:
 
 - exit 0, nothing on stderr, and stdout that parses as JSON;
 - exit 1, nothing on stdout, and exactly one stderr line starting `error:`.
@@ -15,6 +17,8 @@ numpy's RuntimeWarnings count as stderr lines, as they would in a process.
 
 import copy
 import json
+import os
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -149,3 +153,64 @@ FLAGS = st.integers(-(2**65), 2**65)
 def test_integer_flags_succeed_or_fail_in_one_line(dim, shots, seed):
     assert_one_of_two_outcomes(["quantum-value", f"--dim={dim}"])
     assert_one_of_two_outcomes(["sample", f"--dim={dim}", f"--shots={shots}", f"--seed={seed}"])
+
+
+# A valid argv for each subcommand, as its required flags; a malformed copy
+# never gets past the parser, so construct's --out is never opened.
+REQUIRED = {
+    "construct": {"--dim": "2", "--out": os.devnull},
+    "quantum-value": {"--dim": "2"},
+    "lhv": {"--dim": "2"},
+    "noise": {"--dim": "2", "--kind": "uncolored"},
+    "scan": {"--dims": "2..3"},
+    "sample": {"--dim": "2", "--shots": "10", "--seed": "1"},
+}
+INTEGER_FLAGS = ("--dim", "--shots", "--seed")
+KNOWN_FLAGS = ("--help", "--dim", "--dims", "--out", "--state", "--brute-force", "--allow-slow", "--kind", "--format", "--shots", "--seed")
+
+
+def refused_by_int(token):
+    try:
+        int(token)
+    except ValueError:
+        return True
+    return False
+
+
+# Printable ASCII: argparse quotes a bad int value with repr(), but writes an
+# unknown flag as it is, so a raw newline there would split the error line.
+NOT_INTS = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6).filter(refused_by_int)
+# argparse takes any unambiguous prefix of a known flag, so none may be one
+UNKNOWN_FLAGS = st.from_regex(r"--[a-z][a-z0-9-]{0,8}", fullmatch=True).filter(
+    lambda flag: not any(known.startswith(flag) for known in KNOWN_FLAGS)
+)
+
+
+@st.composite
+def malformed_argv(draw):
+    fault = draw(st.sampled_from(["drop", "not-int", "unknown", "no-subcommand"]))
+    commands = [c for c, flags in REQUIRED.items() if fault != "not-int" or set(flags) & set(INTEGER_FLAGS)]
+    command = draw(st.sampled_from(commands))
+    flags = dict(REQUIRED[command])
+    if fault == "drop":
+        del flags[draw(st.sampled_from(sorted(flags)))]
+    if fault == "not-int":
+        flags[draw(st.sampled_from([f for f in INTEGER_FLAGS if f in flags]))] = draw(NOT_INTS)
+    pairs = [[flag, value] for flag, value in draw(st.permutations(list(flags.items())))]
+    if fault == "unknown":
+        pairs.insert(draw(st.integers(0, len(pairs))), [draw(UNKNOWN_FLAGS)])
+    head = [] if fault == "no-subcommand" else [command]
+    return head + list(chain.from_iterable(pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=malformed_argv())
+@example(argv=["quantum-value", "--dim", "abc"]).via("--dim abc")
+@example(argv=["quantum-value", "--dim", "2", "--bogus"]).via("an unknown flag")
+@example(argv=["quantum-value"]).via("--dim missing")
+@example(argv=[]).via("no subcommand")
+def test_malformed_argv_fails_in_one_line(argv):
+    code, stdout, stderr = run_cli_in_process(*argv)
+    assert (code, stdout) == (1, "")
+    assert len(stderr) == 1
+    assert stderr[0].startswith("error:")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,7 +44,7 @@ def test_projector_idempotent_hermitian_trace():
 
 
 def test_projector_rejects_unnormalized():
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match="ket norm deviates from 1 by"):
         projector(np.array([1.0, 1.0]))
 
 
@@ -101,8 +102,47 @@ def test_schmidt_rejects_non_square_dimension():
 
 
 def test_schmidt_rejects_unnormalized():
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match="ket norm deviates from 1 by"):
         schmidt_spectrum(np.ones(4), 2)
+
+
+# <psi|psi> - 1 of kets beyond the 1e-10 trace rule; the old 1e-8 rule on ||psi|| took all four
+KET_DEVIATIONS = (2e-10, -2e-10, 2e-9, 1e-8)
+
+
+@pytest.mark.parametrize("deviation", KET_DEVIATIONS, ids=str)
+def test_ket_rule_is_the_trace_rule(deviation):
+    psi = max_entangled_state(3) * np.sqrt(1.0 + deviation)
+    message = re.escape(f"ket norm deviates from 1 by {abs(deviation):.3e}")
+    with pytest.raises(ValueError, match=message):
+        projector(psi)
+    with pytest.raises(ValueError, match=message):
+        schmidt_spectrum(psi, 3)
+    with pytest.raises(ValueError, match=re.escape(f"trace deviates from 1 by {abs(deviation):.3e}")):
+        validate_density_matrix(np.outer(psi, psi.conj()))
+
+
+def test_ket_within_trace_rule_is_accepted():
+    psi = max_entangled_state(3) * np.sqrt(1.0 + 1e-11)
+    validate_density_matrix(projector(psi))
+    assert np.allclose(schmidt_spectrum(psi, 3), [1 / 3] * 3, atol=1e-10)
+
+
+@pytest.mark.parametrize("part", ("real", "imag"))
+def test_ket_rule_reads_norm_before_finiteness(part):
+    for value, message in ((np.inf, "ket norm deviates from 1 by inf"), (np.nan, "non-finite entries")):
+        bad = max_entangled_state(2)
+        getattr(bad, part)[1] = value
+        for check in (projector, lambda v: schmidt_spectrum(v, 2)):
+            with pytest.raises(ValueError, match=message):
+                check(bad)
+
+
+def test_ket_rule_reads_every_entry_of_any_shape():
+    # np.outer flattens, so a 2-D input is one ket of all its entries
+    with pytest.raises(ValueError, match=re.escape("ket norm deviates from 1 by 1.000e+00")):
+        projector(np.eye(2))
+    assert np.array_equal(projector(np.array([[0.6, 0.8j]])), projector(np.array([0.6, 0.8j])))
 
 
 def test_validate_density_accepts_random_mixtures():
