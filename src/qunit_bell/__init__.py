@@ -12,12 +12,15 @@ from .bases import (
 )
 from .functional import (
     BellSetup,
+    SpectralReport,
+    analyze,
     bell_operator,
     bell_setup,
     build_layout,
     joint_click_table,
     max_entangled_state,
     quantum_value,
+    verify_max_entangled_optimality,
 )
 from .lhv import (
     DeterministicStrategy,
@@ -25,13 +28,8 @@ from .lhv import (
     greedy_bound_with_witness,
     strategy_value,
 )
-from .linalg import (
-    projector,
-    schmidt_spectrum,
-    validate_density_matrix,
-)
+from .linalg import projector, validate_density_matrix
 from .montecarlo import ExperimentPlan, ExperimentResult, run
 from .noise import NoiseFamily, mixed_state, threshold_closed_form, threshold_numeric
-from .spectral import SpectralReport, analyze, verify_max_entangled_optimality
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bases import _check_dim, computational_basis, fourier_basis, intermediate_family
-from .linalg import validate_density_matrix
+from .linalg import ATOL_EIGEN, projector, validate_density_matrix
 
 SETTING_A = 0
 SETTING_A_PRIME = 1
@@ -72,6 +72,11 @@ class BellSetup:
     beta: float
     index: np.ndarray
     weights: np.ndarray
+
+    @property
+    def max_eigenvalue(self) -> float:
+        """W's top eigenvalue alpha + 2 beta = 2 sqrt(N), on psi alone, with gap beta."""
+        return self.alpha + 2.0 * self.beta
 
 
 def build_layout(N: int) -> np.ndarray:
@@ -152,3 +157,38 @@ def bell_operator(N: int) -> np.ndarray:
     setup = bell_setup(_check_dim(N))
     d = setup.dim**2
     return np.bincount(setup.index, setup.weights, minlength=d * d).astype(complex).reshape(d, d)
+
+
+@dataclass(frozen=True)
+class SpectralReport:
+    """Top of W's spectrum and the entanglement of its eigenvector psi."""
+
+    dim: int
+    max_eigenvalue: float
+    gap: float
+    top_state: np.ndarray
+    schmidt: np.ndarray
+    entropy: float
+
+
+def analyze(N: int) -> SpectralReport:
+    """The top of W's spectrum in closed form; psi's squared Schmidt coefficients are all 1/N.
+
+    No eigensolve runs here: the tests diagonalize a W built term by term.
+    """
+    setup = bell_setup(N)
+    return SpectralReport(
+        dim=setup.dim,
+        max_eigenvalue=setup.max_eigenvalue,
+        gap=setup.beta,
+        top_state=max_entangled_state(N),
+        schmidt=np.full(N, 1.0 / N),
+        entropy=float(np.log(N)),
+    )
+
+
+def verify_max_entangled_optimality(N: int) -> tuple[float, bool]:
+    """B_N of the maximally entangled state, and whether it meets W's top eigenvalue."""
+    setup = bell_setup(N)
+    achieved = quantum_value(projector(max_entangled_state(N)), N)
+    return achieved, abs(achieved - setup.max_eigenvalue) < ATOL_EIGEN

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from qunit_bell import analyze, verify_max_entangled_optimality
 from qunit_bell.bases import computational_basis, fourier_basis, intermediate_family, povm_defect
 from qunit_bell.functional import (
     SETTING_A_PRIME,
@@ -25,7 +26,6 @@ from qunit_bell.noise import (
     threshold_closed_form,
     threshold_numeric,
 )
-from qunit_bell.spectral import analyze, verify_max_entangled_optimality
 
 
 def report(capsys, num, label, ok, detail):

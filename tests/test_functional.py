@@ -58,6 +58,17 @@ def reference_bell_operator(N):
     return np.einsum("xuac,xubd->abcd", alice_proj, bob_part).reshape(N * N, N * N)
 
 
+def schmidt_spectrum(psi, N):
+    """Descending squared Schmidt coefficients of a bipartite ket, by an SVD of its N x N reshape."""
+    return np.linalg.svd(np.reshape(psi, (N, N)), compute_uv=False) ** 2
+
+
+def entanglement_entropy(schmidt):
+    """Von Neumann entropy -sum s ln s of a squared-Schmidt spectrum."""
+    s = schmidt[schmidt > 1e-15]
+    return float(-np.sum(s * np.log(s)))
+
+
 def loop_layout(N):
     assignment = np.empty((N, N, 2), dtype=int)
     for v in range(N):
@@ -334,8 +345,6 @@ def test_quantum_value_separable_diagonal():
 
 
 def test_max_entangled_schmidt():
-    from qunit_bell.linalg import schmidt_spectrum
-
     assert np.allclose(schmidt_spectrum(max_entangled_state(3), 3), [1 / 3] * 3, atol=1e-12)
 
 
@@ -440,3 +449,18 @@ def test_top_eigenvector_matches_max_entangled_value(N):
     via_psi = quantum_value(projector(max_entangled_state(N)), N)
     assert abs(via_top - via_psi) < 1e-8
     assert abs(via_psi - w[-1]) < 1e-8
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_top_eigenvector_is_maximally_entangled(N):
+    # the spectral certificate: W built term by term has a simple top
+    # eigenvalue, and its eigenvector is psi, with Schmidt spectrum 1/N and entropy ln N
+    setup = bell_setup(N)
+    w, vecs = np.linalg.eigh(reference_bell_operator(N))
+    top = vecs[:, -1]
+    assert abs(w[-1] - setup.max_eigenvalue) < 1e-8
+    assert abs(w[-1] - w[-2] - setup.beta) < 1e-8
+    schmidt = schmidt_spectrum(top, N)
+    assert np.abs(schmidt - 1 / N).max() < 1e-8
+    assert abs(entanglement_entropy(schmidt) - np.log(N)) < 1e-8
+    assert abs(abs(np.vdot(top, max_entangled_state(N))) - 1) < 1e-8

@@ -6,8 +6,10 @@ import pytest
 
 from qunit_bell.bases import computational_basis, fourier_basis, intermediate_state
 from qunit_bell.functional import max_entangled_state
-from qunit_bell.linalg import projector, schmidt_spectrum, validate_density_matrix
+from qunit_bell.linalg import projector, validate_density_matrix
 from qunit_bell.noise import KIND_CLOSEST_SEPARABLE, KIND_UNCOLORED, NoiseFamily, mixed_state
+
+from test_functional import schmidt_spectrum
 
 
 def random_density(rng, d):
@@ -70,6 +72,7 @@ def test_eigensystem_projector_spectrum():
     assert np.allclose(w, [0.0, 0.0, 0.0, 1.0], atol=1e-10)
 
 
+# The tests' Schmidt oracle, an SVD, against exact spectra and the reduced density matrix.
 def test_schmidt_product_state():
     a0 = computational_basis(3)[0]
     psi = np.kron(a0, a0)
@@ -96,16 +99,6 @@ def test_schmidt_matches_reduced_density_eigenvalues():
         assert np.all(np.diff(got) <= 1e-12)
 
 
-def test_schmidt_rejects_non_square_dimension():
-    with pytest.raises(ValueError, match="not bipartite"):
-        schmidt_spectrum(np.array([1.0, 0.0, 0.0]), 2)
-
-
-def test_schmidt_rejects_unnormalized():
-    with pytest.raises(ValueError, match="ket norm deviates from 1 by"):
-        schmidt_spectrum(np.ones(4), 2)
-
-
 # <psi|psi> - 1 of kets beyond the 1e-10 trace rule; the old 1e-8 rule on ||psi|| took all four
 KET_DEVIATIONS = (2e-10, -2e-10, 2e-9, 1e-8)
 
@@ -116,8 +109,6 @@ def test_ket_rule_is_the_trace_rule(deviation):
     message = re.escape(f"ket norm deviates from 1 by {abs(deviation):.3e}")
     with pytest.raises(ValueError, match=message):
         projector(psi)
-    with pytest.raises(ValueError, match=message):
-        schmidt_spectrum(psi, 3)
     with pytest.raises(ValueError, match=re.escape(f"trace deviates from 1 by {abs(deviation):.3e}")):
         validate_density_matrix(np.outer(psi, psi.conj()))
 
@@ -125,7 +116,6 @@ def test_ket_rule_is_the_trace_rule(deviation):
 def test_ket_within_trace_rule_is_accepted():
     psi = max_entangled_state(3) * np.sqrt(1.0 + 1e-11)
     validate_density_matrix(projector(psi))
-    assert np.allclose(schmidt_spectrum(psi, 3), [1 / 3] * 3, atol=1e-10)
 
 
 @pytest.mark.parametrize("part", ("real", "imag"))
@@ -133,9 +123,8 @@ def test_ket_rule_reads_norm_before_finiteness(part):
     for value, message in ((np.inf, "ket norm deviates from 1 by inf"), (np.nan, "non-finite entries")):
         bad = max_entangled_state(2)
         getattr(bad, part)[1] = value
-        for check in (projector, lambda v: schmidt_spectrum(v, 2)):
-            with pytest.raises(ValueError, match=message):
-                check(bad)
+        with pytest.raises(ValueError, match=message):
+            projector(bad)
 
 
 def test_ket_rule_reads_every_entry_of_any_shape():

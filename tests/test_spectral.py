@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qunit_bell.spectral import analyze, entanglement_entropy, verify_max_entangled_optimality
+from qunit_bell import analyze, verify_max_entangled_optimality
+
+from test_functional import entanglement_entropy
 
 
 @pytest.mark.parametrize("N,want", ((2, 2 * np.sqrt(2)), (3, 2 * np.sqrt(3)), (4, 4.0)))
