@@ -25,12 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bases import (
-    computational_basis,
-    fourier_basis,
-    intermediate_family,
-    normalization_constant,
-)
+from .bases import computational_basis, fourier_basis, intermediate_family
 from .functional import build_layout, max_entangled_state, quantum_value
 from .lhv import bruteforce_bound_with_witness, greedy_bound_with_witness
 from .linalg import _check_finite, projector
@@ -52,6 +47,9 @@ _JSON_NAMES = {bool: "booleans", str: "strings", type(None): "nulls"}
 # plus a fixed part; json.dump of a random rho takes ~53 bytes per number at indent=4.
 STATE_FILE_BYTES_PER_NUMBER = 64
 STATE_FILE_BASE_BYTES = 2**20
+# C0 control characters and DEL as Python writes them in a repr, so that an
+# error stays on one line whatever it quotes (an argv token, a file name).
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(32), 127)}
 
 
 def _encode_complex(array: np.ndarray) -> list:
@@ -322,7 +320,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
         return 1
     return 0
 

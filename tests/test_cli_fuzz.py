@@ -6,8 +6,9 @@ numbers, booleans, null, numeric and other strings, 10**400 and
 NaN/±Infinity, in the right shape or in ragged and mis-shaped lists.  The
 integer flags --dim, --shots and --seed range over ±2**65, and malformed
 argument vectors (a required flag dropped, an integer flag given a token int()
-refuses, an unknown flag, no subcommand) reach every subcommand.  Each run must
-end in one of two ways:
+refuses, an unknown flag, no subcommand) reach every subcommand.  Argument
+tokens and state file names may hold newlines and carriage returns.  Each run
+must end in one of two ways:
 
 - exit 0, nothing on stderr, and stdout that parses as JSON;
 - exit 1, nothing on stdout, and exactly one stderr line starting `error:`.
@@ -177,11 +178,14 @@ def refused_by_int(token):
     return False
 
 
-# Printable ASCII: argparse quotes a bad int value with repr(), but writes an
-# unknown flag as it is, so a raw newline there would split the error line.
-NOT_INTS = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6).filter(refused_by_int)
+# Printable ASCII and line breaks: argparse quotes a bad int value with repr(),
+# but writes an unknown flag as it is, so only main's escaping keeps a raw
+# newline there from splitting the error line.
+NOT_INTS = st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\n\r"), max_size=6).filter(
+    refused_by_int
+)
 # argparse takes any unambiguous prefix of a known flag, so none may be one
-UNKNOWN_FLAGS = st.from_regex(r"--[a-z][a-z0-9-]{0,8}", fullmatch=True).filter(
+UNKNOWN_FLAGS = st.from_regex(r"--[a-z][a-z0-9\n\r-]{0,8}", fullmatch=True).filter(
     lambda flag: not any(known.startswith(flag) for known in KNOWN_FLAGS)
 )
 
@@ -209,8 +213,27 @@ def malformed_argv(draw):
 @example(argv=["quantum-value", "--dim", "2", "--bogus"]).via("an unknown flag")
 @example(argv=["quantum-value"]).via("--dim missing")
 @example(argv=[]).via("no subcommand")
+@example(argv=["quantum-value", "--dim", "2", "--a\nb"]).via("a newline in an unknown flag")
 def test_malformed_argv_fails_in_one_line(argv):
     code, stdout, stderr = run_cli_in_process(*argv)
     assert (code, stdout) == (1, "")
     assert len(stderr) == 1
     assert stderr[0].startswith("error:")
+
+
+# load_state_file quotes the path as given in its messages.
+FILE_NAMES = st.text("ab.\n\r", min_size=1, max_size=6).filter(lambda name: name not in (".", ".."))
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=FILE_NAMES, text=st.sampled_from(["not json", "[1, 2]", "{}"]))
+@example(name="bad\nname.json", text="not json").via("a newline in a state file's name")
+def test_state_file_names_fail_in_one_line(state_path, name, text):
+    path = state_path.parent / name
+    path.write_text(text)
+    try:
+        code, stdout, stderr = run_cli_in_process("quantum-value", "--dim", "2", "--state", str(path))
+    finally:
+        path.unlink()
+    assert (code, stdout, len(stderr)) == (1, "", 1)
+    assert stderr[0].startswith("error: state file ")

@@ -191,9 +191,7 @@ def test_float64_states_pass_through_every_caller(kind, N):
     got, want = (run(ExperimentPlan(N, state, 1000, 5)) for state in (rho, as_complex))
     assert got.counts.tobytes() == want.counts.tobytes()
     assert (got.b_estimate, got.std_error) == (want.b_estimate, want.std_error)
-    # BLAS sums the contiguous float64 gather and the strided .real of the
-    # complex one in different orders, so B_N may differ in the last digits
-    assert abs(quantum_value(rho, N) - quantum_value(as_complex, N)) < 1e-12
+    assert quantum_value(rho, N) == quantum_value(as_complex, N)
 
 
 @pytest.mark.parametrize("kind", KINDS)

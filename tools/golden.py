@@ -29,17 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from qunit_bell.cli import main
+from qunit_bell.cli import _encode_complex, main
 from qunit_bell.functional import max_entangled_state
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "golden" / "cli.json"
 DIMS = (2, 3, 6)
 SUBCOMMANDS = ("construct", "quantum-value", "lhv", "noise", "scan", "sample")
 SAMPLE = ("--shots", "1000", "--seed", "7")
-
-
-def _pairs(array: np.ndarray) -> list:
-    return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
 def _state(N: int, kind: str, data) -> str:
@@ -59,17 +55,17 @@ def build_inputs() -> dict[str, str]:
     inputs = {}
     for N in (2, 3):
         psi = max_entangled_state(N)
-        inputs[f"psi-{N}-ket.json"] = _state(N, "ket", _pairs(psi))
-        inputs[f"psi-{N}-density.json"] = _state(N, "density", _pairs(np.outer(psi, psi.conj())))
-        inputs[f"complex-{N}.json"] = _state(N, "density", _pairs(_random_density(rng, N * N, real=False)))
-        inputs[f"real-{N}.json"] = _state(N, "density", _pairs(_random_density(rng, N * N, real=True)))
-    ket = _pairs(max_entangled_state(3))
-    eye = _pairs(np.eye(9))
-    near_max = _pairs(np.outer(max_entangled_state(2), max_entangled_state(2)))
+        inputs[f"psi-{N}-ket.json"] = _state(N, "ket", _encode_complex(psi))
+        inputs[f"psi-{N}-density.json"] = _state(N, "density", _encode_complex(np.outer(psi, psi.conj())))
+        inputs[f"complex-{N}.json"] = _state(N, "density", _encode_complex(_random_density(rng, N * N, real=False)))
+        inputs[f"real-{N}.json"] = _state(N, "density", _encode_complex(_random_density(rng, N * N, real=True)))
+    ket = _encode_complex(max_entangled_state(3))
+    eye = _encode_complex(np.eye(9))
+    near_max = _encode_complex(np.outer(max_entangled_state(2), max_entangled_state(2)))
     near_max[0][0][0] = near_max[3][3][0] = np.finfo(float).max / 8
-    nan_density = _pairs(np.eye(4) / 4)
+    nan_density = _encode_complex(np.eye(4) / 4)
     nan_density[0][1][0] = nan_density[1][0][0] = float("nan")
-    inf_ket = _pairs(max_entangled_state(2))
+    inf_ket = _encode_complex(max_entangled_state(2))
     inf_ket[1][0] = float("inf")
     inputs.update(
         {
@@ -201,7 +197,7 @@ def dumps(corpus: dict) -> str:
     return json.dumps(corpus, indent=1) + "\n"
 
 
-def cli(argv=None) -> int:
+def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Record or check the golden CLI corpus.")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="print a unified diff against the corpus")
@@ -219,4 +215,4 @@ def cli(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(cli())
+    sys.exit(run())
