@@ -46,7 +46,7 @@ def hermiticity_defect(op: np.ndarray) -> float:
     return float(np.abs(diff, out=diff).real.max())
 
 
-def projector(v) -> np.ndarray:
+def projector(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of v flattened, as complex128.
 
     ValueError if |<v|v> - 1| > ATOL_ALGEBRA, then if v is not finite.  Summed
