@@ -166,7 +166,7 @@ def cmd_quantum_value(args) -> None:
 def cmd_lhv(args) -> None:
     N = args.dim
     if args.brute_force:
-        bound, witness = bruteforce_bound_with_witness(N, allow_slow=args.allow_slow)
+        bound, witness = bruteforce_bound_with_witness(N)
         method = "brute-force"
     else:
         bound, witness = greedy_bound_with_witness(N)
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lhv", parents=[dim], help="local-hidden-variable bound with a witnessing strategy")
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--allow-slow", action="store_true")
+    p.add_argument("--allow-slow", action="store_true", help="no effect: brute force takes N = 2..5 without it")
     p.set_defaults(handler=cmd_lhv)
 
     p = sub.add_parser("noise", parents=[dim], help="noise threshold where B_N drops to the classical limit")

@@ -3,9 +3,9 @@
 A deterministic strategy fixes Alice's outcome for each basis and one click
 bit per Bob measurement.  Alice's two outcomes can only make one of Bob's N^2
 measurements doubly correct (click gain +2); every other measurement gains 0
-or -2, so the maximum is 2 in every dimension.  The brute-force path verifies
-this by computing the value of every strategy; the greedy path applies the
-per-measurement decomposition directly.
+or -2, so the maximum is 2 in every dimension.  Both searches read one table
+of click gains: the brute-force path scores every click mask of every row,
+and the greedy path applies the per-measurement decomposition directly.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import numpy as np
 from .bases import _check_dim, _check_int
 from .functional import SETTING_A, SETTING_A_PRIME, bell_setup
 
-# Default brute-force cap; N=5 (25 * 2^25 strategies) only behind allow_slow.
-BRUTE_FORCE_MAX_DIM = 4
-BRUTE_FORCE_SLOW_DIM = 5
+# N = 6 would score 36 * 2^36 masks, about 3000 times the work at N = 5.
+BRUTE_FORCE_MAX_DIM = 5
 
 # The exhaustive search splits a click mask into its low LOW_BITS bits and the
 # rest, and scores the masks HIGH_BLOCK high rows at a time: 1 MiB of int8.
@@ -50,27 +49,21 @@ class DeterministicStrategy:
             raise ValueError(f"click mask needs exactly {N * N} bits")
 
 
-def click_gains(alpha: int, alpha_prime: int, N: int) -> np.ndarray:
-    """Per-measurement click gain c_A + c_A' for fixed Alice outcomes.
+def click_gains(N: int) -> np.ndarray:
+    """(N, N, N^2) int8 table of click gains c_A + c_A', one row per pair of Alice outcomes.
 
-    Entry v*N + j corresponds to the measurement at slot (v, j); values
-    are in {+2, 0, -2}.
+    gains[alpha, alpha', v*N + j] is the gain of clicking the measurement at
+    slot (v, j) given outcomes alpha and alpha'; it is +2, 0 or -2.
     """
     c = bell_setup(N).coefficients
-    gains = c[SETTING_A, alpha].astype(np.int64) + c[SETTING_A_PRIME, alpha_prime]
-    return gains.reshape(N * N)
+    return (c[SETTING_A, :, None] + c[SETTING_A_PRIME, None, :]).reshape(N, N, N * N)
 
 
 def strategy_value(strategy: DeterministicStrategy) -> int:
     """Exact B_N value of a deterministic strategy (an even integer)."""
-    gains = click_gains(strategy.alpha, strategy.alpha_prime, strategy.dim)
-    total = 0
-    mask = strategy.clicks
-    while mask:
-        bit = mask & -mask
-        total += int(gains[bit.bit_length() - 1])
-        mask ^= bit
-    return total
+    N = strategy.dim
+    clicked = [b for b in range(N * N) if strategy.clicks >> b & 1]
+    return int(click_gains(N)[strategy.alpha, strategy.alpha_prime, clicked].sum(dtype=np.int64))
 
 
 def _subset_sums(gains: np.ndarray) -> np.ndarray:
@@ -102,23 +95,20 @@ def _best_mask_exhaustive(gains: np.ndarray) -> tuple[int, int]:
     return best_value, best_mask
 
 
-def bruteforce_bound_with_witness(
-    N: int, allow_slow: bool = False
-) -> tuple[int, DeterministicStrategy]:
-    """Exact LHV maximum by exhaustive enumeration, with a maximizing strategy."""
-    limit = BRUTE_FORCE_SLOW_DIM if allow_slow else BRUTE_FORCE_MAX_DIM
-    if not 2 <= N <= limit:
-        raise ValueError(
-            f"brute force supports 2 <= N <= {limit}"
-            f"{'' if allow_slow else ' (N=5 requires allow_slow)'}, got {N}"
-        )
-    N = _check_dim(N)  # refuses 2.5 before range() sees it
+def bruteforce_bound_with_witness(N: int) -> tuple[int, DeterministicStrategy]:
+    """Exact LHV maximum by exhaustive enumeration, with a maximizing strategy.
 
-    def scan(alpha: int, alpha_prime: int) -> tuple[int, int, int, int]:
-        value, mask = _best_mask_exhaustive(click_gains(alpha, alpha_prime, N))
-        return value, alpha, alpha_prime, mask
-
-    value, alpha, alpha_prime, mask = max(scan(a, ap) for a in range(N) for ap in range(N))
+    Among equal values the largest (alpha, alpha') wins, with the smallest mask.
+    """
+    N = _check_dim(N)
+    if N > BRUTE_FORCE_MAX_DIM:
+        raise ValueError(f"brute force supports 2 <= N <= {BRUTE_FORCE_MAX_DIM}, got {N}")
+    gains = click_gains(N)
+    value, alpha, alpha_prime, mask = max(
+        (value, a, b, mask)
+        for a, b in np.ndindex(N, N)
+        for value, mask in [_best_mask_exhaustive(gains[a, b])]
+    )
     return value, DeterministicStrategy(N, alpha, alpha_prime, mask)
 
 
@@ -127,20 +117,13 @@ def greedy_bound_with_witness(N: int) -> tuple[int, DeterministicStrategy]:
 
     Each click bit appears in exactly two terms of B_N, so for fixed Alice
     outcomes the best pattern clicks exactly the positive-gain measurements;
-    zero-gain measurements are left silent to keep the witness minimal.
+    zero-gain measurements are left silent to keep the witness minimal, and
+    the first Alice pair in row-major order wins ties.
     """
     N = _check_dim(N)
-    best_value = None
-    best = None
-    for alpha in range(N):
-        for alpha_prime in range(N):
-            gains = click_gains(alpha, alpha_prime, N)
-            value = int(np.maximum(gains, 0).sum())
-            if best_value is None or value > best_value:
-                mask = 0
-                for b in np.flatnonzero(gains > 0):
-                    mask |= 1 << int(b)
-                best_value = value
-                best = DeterministicStrategy(N, alpha, alpha_prime, mask)
-    return best_value, best
-
+    gains = click_gains(N)
+    np.maximum(gains, 0, out=gains)  # in place, so the peak stays one table
+    values = gains.sum(axis=2, dtype=np.int64)
+    alpha, alpha_prime = divmod(int(np.argmax(values)), N)
+    mask = sum(1 << int(b) for b in np.flatnonzero(gains[alpha, alpha_prime]))
+    return int(values[alpha, alpha_prime]), DeterministicStrategy(N, alpha, alpha_prime, mask)

@@ -328,14 +328,14 @@ def test_lhv_greedy_dim8(capsys):
 
 
 def test_lhv_brute_force_range(capsys):
-    code, _, stderr = run_cli(capsys, "lhv", "--dim", "5", "--brute-force")
+    # N = 5 needs no flag; --allow-slow is still accepted and changes nothing
+    plain = run_cli(capsys, "lhv", "--dim", "5", "--brute-force")
+    assert plain[0] == 0
+    assert json.loads(plain[1])["bound"] == 2
+    assert run_cli(capsys, "lhv", "--dim", "5", "--brute-force", "--allow-slow") == plain
+    code, _, stderr = run_cli(capsys, "lhv", "--dim", "6", "--brute-force")
     assert code == 1
-    assert "allow_slow" in stderr
-    code, stdout, _ = run_cli(
-        capsys, "lhv", "--dim", "5", "--brute-force", "--allow-slow"
-    )
-    assert code == 0
-    assert json.loads(stdout)["bound"] == 2
+    assert stderr == "error: brute force supports 2 <= N <= 5, got 6\n"
 
 
 def test_noise_reports(capsys):

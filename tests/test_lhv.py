@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qunit_bell.functional import quantum_value
+from qunit_bell.functional import SETTING_A, SETTING_A_PRIME, bell_setup, quantum_value
 from qunit_bell.lhv import (
     LOW_BITS,
     DeterministicStrategy,
@@ -14,6 +16,8 @@ from qunit_bell.lhv import (
     strategy_value,
 )
 from qunit_bell.linalg import projector
+
+from test_functional import loop_coefficients
 
 
 def reference_best_mask(gains):
@@ -53,11 +57,15 @@ def test_single_click_contributions_n3():
 
 
 def test_gain_trichotomy():
-    # per-measurement gains are in {+2, 0, -2} with exactly one +2
+    # per-measurement gains are in {+2, 0, -2} with exactly one +2 per Alice pair
     for N in range(2, 8):
+        table = click_gains(N)
+        assert table.shape == (N, N, N * N) and table.dtype == np.int8
+        c = loop_coefficients(N).astype(int)
         for alpha in range(N):
             for alpha_prime in range(N):
-                gains = click_gains(alpha, alpha_prime, N)
+                gains = table[alpha, alpha_prime]
+                assert np.array_equal(gains, (c[SETTING_A, alpha] + c[SETTING_A_PRIME, alpha_prime]).ravel())
                 assert set(np.unique(gains)) <= {-2, 0, 2}
                 assert np.sum(gains == 2) == 1
                 # the doubly-correct slot sits in group (-alpha-alpha') mod N
@@ -65,7 +73,7 @@ def test_gain_trichotomy():
                 assert slot == alpha * N + (-alpha - alpha_prime) % N
 
 
-@pytest.mark.parametrize("N", (2, 3, 4))
+@pytest.mark.parametrize("N", (2, 3, 4, 5))
 def test_bruteforce_bound(N):
     bound, witness = bruteforce_bound_with_witness(N)
     assert bound == 2
@@ -77,7 +85,7 @@ def test_bruteforce_bound(N):
     [(2, 1, 1, 0x4), (3, 2, 2, 0x100), (4, 3, 3, 0x4000), (5, 4, 4, 0x400000)],
 )
 def test_bruteforce_witness_pinned(N, alpha, alpha_prime, clicks):
-    assert bruteforce_bound_with_witness(N, allow_slow=True) == (
+    assert bruteforce_bound_with_witness(N) == (
         2,
         DeterministicStrategy(N, alpha, alpha_prime, clicks),
     )
@@ -113,27 +121,53 @@ def test_greedy_bound(N):
 
 
 def test_methods_agree():
-    for N in (2, 3, 4):
+    for N in (2, 3, 4, 5):
         assert bruteforce_bound_with_witness(N)[0] == greedy_bound_with_witness(N)[0] == 2
+        # pair by pair, the exhaustive best is the sum of the positive gains
+        for gains in click_gains(N).reshape(N * N, N * N):
+            assert _best_mask_exhaustive(gains)[0] == np.maximum(gains, 0).sum()
 
 
 def test_bruteforce_range_errors():
-    with pytest.raises(ValueError, match="brute force"):
-        bruteforce_bound_with_witness(1)
-    with pytest.raises(ValueError, match="allow_slow"):
-        bruteforce_bound_with_witness(5)
-    with pytest.raises(ValueError, match="brute force"):
-        bruteforce_bound_with_witness(6, allow_slow=True)
+    with pytest.raises(ValueError, match=r"^brute force supports 2 <= N <= 5, got 6$"):
+        bruteforce_bound_with_witness(6)
 
 
-def test_bruteforce_allow_slow_n5():
-    assert bruteforce_bound_with_witness(5, allow_slow=True)[0] == 2
+@pytest.mark.parametrize("search", (bruteforce_bound_with_witness, greedy_bound_with_witness))
+@pytest.mark.parametrize(
+    "N, message",
+    [
+        (1, "at least 2, got 1"),
+        (0, "at least 2, got 0"),
+        (-3, "at least 2, got -3"),
+        (2.5, "an integer, got 2.5"),
+        ("3", "an integer, got 3"),
+        (None, "an integer, got None"),
+        (True, "at least 2, got 1"),
+    ],
+)
+def test_searches_validate_dim_first(search, N, message):
+    with pytest.raises(ValueError, match=f"^local dimension must be {message}$"):
+        search(N)
+
+
+def test_greedy_peak_is_one_table():
+    N = 32
+    bell_setup(N)  # cached, so only the search itself is traced
+    tracemalloc.start()
+    try:
+        assert greedy_bound_with_witness(N)[0] == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the N^4 int8 table, plus the row sums and the reduction's buffer
+    assert peak < N**4 + (1 << 17)
 
 
 def test_greedy_witness_clicks_only_positive_gains():
     for N in (3, 6):
         bound, witness = greedy_bound_with_witness(N)
-        gains = click_gains(witness.alpha, witness.alpha_prime, N)
+        gains = click_gains(N)[witness.alpha, witness.alpha_prime]
         for b in range(N * N):
             clicked = bool(witness.clicks >> b & 1)
             assert clicked == (gains[b] > 0)

@@ -120,12 +120,12 @@ def test_result_fields_round_trip():
     assert result.std_error >= 0.0
 
 
-def ginibre_mixture(N, seed):
-    """lam |psi><psi| + (1 - lam) G G^dag / Tr(G G^dag), G complex Gaussian, lam uniform."""
+def ginibre_mixture(N, seed, lam=None):
+    """lam |psi><psi| + (1 - lam) G G^dag / Tr(G G^dag), G complex Gaussian, lam uniform unless given."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
     noise = g @ g.conj().T
-    lam = rng.uniform()
+    lam = rng.uniform() if lam is None else lam
     return lam * projector(max_entangled_state(N)) + (1 - lam) * noise / np.trace(noise).real
 
 
@@ -140,6 +140,18 @@ def test_estimate_within_five_sigma_on_random_mixtures(N):
         click = joint_click_table(rho, N)
         no_click = click.sum(axis=(2, 3))[:, :, None, None] / N - click
         assert np.clip(-no_click, 0.0, None).sum() <= 1e-12
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("mixed", (False, True), ids=("psi", "mixture"))
+def test_std_error_is_calibrated_over_seeds(N, mixed):
+    # z = (b_estimate - B_N) / std_error over 200 seeds should look standard normal
+    rho = ginibre_mixture(N, N, lam=0.7) if mixed else projector(max_entangled_state(N))
+    exact = quantum_value(rho, N)
+    runs = (run(ExperimentPlan(N, rho, 1000, seed)) for seed in range(200))
+    z = [(r.b_estimate - exact) / r.std_error for r in runs]
+    assert abs(np.mean(z)) < 0.3
+    assert 0.8 < np.std(z) < 1.3
 
 
 # (N, seed) -> (b_estimate, std_error), pinned to the bit: their summation order

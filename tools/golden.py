@@ -102,11 +102,12 @@ def build_matrix() -> list[list[str]]:
             ["construct", *dim, "--out", "family.json"],
             ["quantum-value", *dim],
             ["lhv", *dim],
-            ["lhv", *dim, "--brute-force"],  # refused at N = 6 without --allow-slow
+            ["lhv", *dim, "--brute-force"],  # refused at N = 6
             ["noise", *dim, "--kind", "uncolored"],
             ["noise", *dim, "--kind", "separable"],
             ["sample", *dim, *SAMPLE],
         ]
+    matrix += [["lhv", "--dim", "5", "--brute-force"], ["lhv", "--dim", "5", "--brute-force", "--allow-slow"]]
     matrix += [["scan", "--dims", "2..6"], ["scan", "--dims", "2..6", "--format", "csv"]]
     for N in (2, 3):
         for name in (f"psi-{N}-ket.json", f"psi-{N}-density.json", f"complex-{N}.json", f"real-{N}.json"):
