@@ -1,5 +1,11 @@
 """Bell inequality B_N for two quNits with N^2 binary intermediate-state measurements."""
 
+import os
+import sys
+# OpenBLAS sizes its pool as numpy loads; its idle threads spin, and below N ~ 32 they save no wall time.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .bases import (
     IntermediateFamily,
     computational_basis,

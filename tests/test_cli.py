@@ -487,6 +487,49 @@ def test_closed_stdout_pipe_exits_quietly():
     assert stderr == b""
 
 
+BLAS_POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_pool_after(imports, **user_env):
+    """A fresh child's task count and pool variables after `import <imports>`.
+
+    The child starts with none of the pool variables but those in user_env, so
+    what this process has imported or inherited does not leak into it.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_POOL_VARIABLES}
+    code = (
+        f"import json, os, {imports}; print(json.dumps([len(os.listdir('/proc/self/task')),"
+        f" {{k: os.environ.get(k) for k in {BLAS_POOL_VARIABLES!r}}}]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**env, **user_env}, capture_output=True, check=True, timeout=60
+    )
+    return json.loads(proc.stdout)
+
+
+NEEDS_PROC_TASKS = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+
+
+@NEEDS_PROC_TASKS
+def test_import_runs_openblas_on_one_thread():
+    tasks, env = blas_pool_after("qunit_bell")
+    assert tasks == 1
+    assert env == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+
+@NEEDS_PROC_TASKS
+@pytest.mark.parametrize("variable", BLAS_POOL_VARIABLES)
+def test_import_keeps_the_users_pool_size(variable):
+    _, env = blas_pool_after("qunit_bell", **{variable: "2"})
+    assert env == {k: "2" if k == variable else None for k in BLAS_POOL_VARIABLES}
+
+
+@NEEDS_PROC_TASKS
+def test_import_after_numpy_leaves_the_pool_alone():
+    _, env = blas_pool_after("numpy, qunit_bell")
+    assert env == dict.fromkeys(BLAS_POOL_VARIABLES)
+
+
 @pytest.mark.parametrize("part", (0, 1), ids=("real", "imaginary"))
 def test_non_finite_density_file_gives_one_error_line(tmp_path, part):
     data = density_payload(np.eye(4) / 4)

@@ -2,8 +2,9 @@
 
 `quantum-value` and `sample` run in-process at N = 2 on state documents that
 hypothesis draws: arbitrary JSON, and schema-shaped objects whose data mixes
-numbers, booleans, null, numeric and other strings, 10**400 and
-NaN/±Infinity, in the right shape or in ragged and mis-shaped lists.  The
+numbers (floats of magnitude 1e200..1e308 among them), booleans, null,
+numeric and other strings, 10**400 and NaN/±Infinity, in the right shape or
+in ragged and mis-shaped lists.  The
 integer flags --dim, --shots and --seed range over ±2**65, and malformed
 argument vectors (a required flag dropped, an integer flag given a token int()
 refuses, an unknown flag, no subcommand) reach every subcommand.  Argument
@@ -36,6 +37,9 @@ HUGE = 10**400  # json writes it as 401 digits, too large for a float
 NUMBERS = st.one_of(
     st.floats(),  # NaN and ±Infinity included, written as JSON's NaN/Infinity
     st.floats(-1.0, 1.0),
+    # from where a ket's <psi|psi> overflows up to where rho - rho^dagger or Tr rho does
+    st.floats(1e200, 1e308),
+    st.floats(-1e308, -1e200),
     st.integers(-(2**70), 2**70),
 )
 # Values that have broken the contract before, or sit at a float's edges.
