@@ -1,41 +1,33 @@
-"""Bell inequality B_N for two quNits with N^2 binary intermediate-state measurements."""
+"""Bell inequality B_N for two quNits with N^2 binary intermediate-state measurements.
 
-import os
-import sys
-# OpenBLAS sizes its pool as numpy loads; its idle threads spin, and below N ~ 32 they save no wall time.
-if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+Each name below is loaded from its module on first use, so importing the
+package alone does not load numpy; the command line sets OpenBLAS up first.
+"""
 
-from .bases import (
-    IntermediateFamily,
-    computational_basis,
-    fourier_basis,
-    intermediate_family,
-    intermediate_state,
-    normalization_constant,
-    overlap_phase,
-    povm_defect,
-)
-from .functional import (
-    BellSetup,
-    SpectralReport,
-    analyze,
-    bell_operator,
-    bell_setup,
-    build_layout,
-    joint_click_table,
-    max_entangled_state,
-    quantum_value,
-    verify_max_entangled_optimality,
-)
-from .lhv import (
-    DeterministicStrategy,
-    bruteforce_bound_with_witness,
-    greedy_bound_with_witness,
-    strategy_value,
-)
-from .linalg import projector, validate_density_matrix
-from .montecarlo import ExperimentPlan, ExperimentResult, run
-from .noise import NoiseFamily, mixed_state, threshold_closed_form, threshold_numeric
+import importlib
 
+_EXPORTS = {
+    "bases": ("IntermediateFamily", "computational_basis", "fourier_basis", "intermediate_family",
+              "intermediate_state", "normalization_constant", "overlap_phase", "povm_defect"),
+    "functional": ("BellSetup", "SpectralReport", "analyze", "bell_operator", "bell_setup", "build_layout",
+                   "joint_click_table", "max_entangled_state", "quantum_value", "verify_max_entangled_optimality"),
+    "lhv": ("DeterministicStrategy", "bruteforce_bound_with_witness", "greedy_bound_with_witness", "strategy_value"),
+    "linalg": ("projector", "validate_density_matrix"),
+    "montecarlo": ("ExperimentPlan", "ExperimentResult", "run"),
+    "noise": ("NoiseFamily", "mixed_state", "threshold_closed_form", "threshold_numeric"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, so `import qunit_bell; qunit_bell.noise` works
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

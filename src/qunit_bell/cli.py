@@ -23,7 +23,14 @@ import os
 import sys
 from itertools import chain
 
-import numpy as np
+# OpenBLAS reads this once, as numpy loads: at 4, its least, an idle pool thread
+# sleeps at once instead of spinning ~2**28 cycles.  Never over the user's value.
+_QUIET_POOL = "numpy" not in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+if _QUIET_POOL:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+import numpy as np  # noqa: E402
+if _QUIET_POOL:
+    del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 from .bases import computational_basis, fourier_basis, intermediate_family
 from .functional import build_layout, max_entangled_state, quantum_value

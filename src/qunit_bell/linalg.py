@@ -5,8 +5,8 @@ complex128, 134 MB in float64).  validate_density_matrix keeps real input
 float64 (every noise state is) and returns complex input as complex128; a
 density matrix with no nonzero imaginary entry (|psi><psi| and every noise
 state) is checked in real arithmetic on one float64 copy plus one temporary.
-At N = 64 |psi><psi| validates in 1.8-2.0 s on one OpenBLAS thread (1.5-1.8 s
-on two) with a 269 MB tracemalloc peak (numpy 2.4.6, 2 vCPU).
+At N = 64 |psi><psi| validates in 1.4-1.5 s with a 269 MB tracemalloc peak
+(numpy 2.4.6, 2 vCPU).
 
 Kets are 1-D complex ndarrays, operators are square 2-D complex ndarrays.
 Tensor products put the first factor (Alice) on the slowest-varying index.

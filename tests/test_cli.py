@@ -487,20 +487,34 @@ def test_closed_stdout_pipe_exits_quietly():
     assert stderr == b""
 
 
-BLAS_POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+OPENBLAS_VARIABLES = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+OPENBLAS_PROBE = """
+import json, os, sys, time
+seen = []  # OPENBLAS_THREAD_TIMEOUT as numpy loads
+sys.addaudithook(lambda event, args: event == "import" and args[0] == "numpy"
+                 and seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT")))
+import {imports}
+time.sleep(0.3)
+ticks = 0
+for task in os.listdir("/proc/self/task"):
+    if task != str(os.getpid()):
+        with open(f"/proc/self/task/{{task}}/stat") as stat:
+            fields = stat.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])  # utime + stime
+print(json.dumps([seen, {{k: os.environ.get(k) for k in {variables!r}}}, ticks]))
+"""
 
 
-def blas_pool_after(imports, **user_env):
-    """A fresh child's task count and pool variables after `import <imports>`.
+def openblas_after(imports, **user_env):
+    """What a fresh child saw after `import <imports>` and a 0.3 s rest.
 
-    The child starts with none of the pool variables but those in user_env, so
-    what this process has imported or inherited does not leak into it.
+    Returns the OPENBLAS_THREAD_TIMEOUT that numpy loaded under ([] if numpy
+    did not load), the OpenBLAS variables afterwards, and the CPU clock ticks
+    of every thread but the main one (OpenBLAS's pool).  The child starts with
+    none of the variables but those in user_env.
     """
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_POOL_VARIABLES}
-    code = (
-        f"import json, os, {imports}; print(json.dumps([len(os.listdir('/proc/self/task')),"
-        f" {{k: os.environ.get(k) for k in {BLAS_POOL_VARIABLES!r}}}]))"
-    )
+    env = {k: v for k, v in os.environ.items() if k not in OPENBLAS_VARIABLES}
+    code = OPENBLAS_PROBE.format(imports=imports, variables=OPENBLAS_VARIABLES)
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**env, **user_env}, capture_output=True, check=True, timeout=60
     )
@@ -511,23 +525,33 @@ NEEDS_PROC_TASKS = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reas
 
 
 @NEEDS_PROC_TASKS
-def test_import_runs_openblas_on_one_thread():
-    tasks, env = blas_pool_after("qunit_bell")
-    assert tasks == 1
-    assert env == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+def test_cli_loads_numpy_with_a_pool_that_sleeps():
+    seen, env, pool_ticks = openblas_after("qunit_bell.cli")
+    assert seen == ["4"]
+    assert env == dict.fromkeys(OPENBLAS_VARIABLES)  # set for numpy's load only
+    assert pool_ticks <= 2  # the default pool spins ~0.1 s per thread here
 
 
 @NEEDS_PROC_TASKS
-@pytest.mark.parametrize("variable", BLAS_POOL_VARIABLES)
-def test_import_keeps_the_users_pool_size(variable):
-    _, env = blas_pool_after("qunit_bell", **{variable: "2"})
-    assert env == {k: "2" if k == variable else None for k in BLAS_POOL_VARIABLES}
+def test_package_import_does_not_load_numpy():
+    seen, env, _ = openblas_after("qunit_bell")
+    assert seen == []
+    assert env == dict.fromkeys(OPENBLAS_VARIABLES)
 
 
 @NEEDS_PROC_TASKS
-def test_import_after_numpy_leaves_the_pool_alone():
-    _, env = blas_pool_after("numpy, qunit_bell")
-    assert env == dict.fromkeys(BLAS_POOL_VARIABLES)
+@pytest.mark.parametrize("variable", OPENBLAS_VARIABLES)
+def test_cli_keeps_the_users_openblas_variables(variable):
+    seen, env, _ = openblas_after("qunit_bell.cli", **{variable: "2"})
+    assert seen == ["2" if variable == "OPENBLAS_THREAD_TIMEOUT" else "4"]
+    assert env == {k: "2" if k == variable else None for k in OPENBLAS_VARIABLES}
+
+
+@NEEDS_PROC_TASKS
+def test_cli_after_numpy_leaves_the_pool_alone():
+    seen, env, _ = openblas_after("numpy, qunit_bell.cli")
+    assert seen == [None]
+    assert env == dict.fromkeys(OPENBLAS_VARIABLES)
 
 
 @pytest.mark.parametrize("part", (0, 1), ids=("real", "imaginary"))
