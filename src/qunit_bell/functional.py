@@ -90,7 +90,7 @@ def max_entangled_state(N: int) -> np.ndarray:
     """(1/sqrt(N)) sum_k |a_k> x |a_k>; in the A' bases it pairs label l with (N-l) mod N."""
     N = _check_dim(N)
     psi = np.zeros(N * N, dtype=complex)
-    psi[np.arange(N) * (N + 1)] = 1.0 / np.sqrt(N)
+    psi[:: N + 1] = 1.0 / np.sqrt(N)
     return psi
 
 

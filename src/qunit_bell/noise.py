@@ -4,17 +4,20 @@ Two one-parameter families are supported: admixture of white noise (the
 maximally mixed state on the joint space) and admixture of the closest
 separable state (1/N) sum_i |a_i a_i><a_i a_i|.  The threshold is the mixing
 weight at which B_N falls to the classical limit 2.
+
+|kk> is basis vector k(N + 1), so |psi><psi| is 1/N on the sub-grid
+rho[::N+1, ::N+1] and 0 elsewhere, and both kinds of sigma are diagonal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bases import _check_dim
-from .functional import max_entangled_state, quantum_value
+from .functional import quantum_value
 
 CLASSICAL_BOUND = 2.0
 
@@ -37,47 +40,28 @@ class NoiseFamily:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {_KINDS}")
         _check_dim(self.dim)
-        if not 0.0 <= self.lam <= 1.0:
+        real = isinstance(self.lam, (int, float, np.integer, np.floating, np.bool_))
+        if not (real and 0.0 <= self.lam <= 1.0):
             raise ValueError(f"mixing weight must lie in [0, 1], got {self.lam}")
-
-
-@lru_cache(maxsize=8)
-def _noise_parts(kind: str, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only O(N^2) float64 pieces of the noisy state for (kind, N).
-
-    sigma is diagonal for both kinds, so this holds its diagonal, the flat
-    positions in rho.reshape(-1) of the |kk> block where |psi> = (1/sqrt(N))
-    sum_k |kk> is nonzero, and |psi><psi| on that block.  No d x d array is
-    cached: at N = 64 one takes 134 MB.
-    """
-    d = N * N
-    diag = np.arange(N) * (N + 1)
-    if kind == KIND_UNCOLORED:
-        sigma_diag = np.full(d, 1.0 / d)
-    else:
-        sigma_diag = np.zeros(d)
-        sigma_diag[diag] = 1.0 / N
-    amplitudes = max_entangled_state(N)[diag].real
-    positions = diag[:, None] * d + diag
-    block = np.outer(amplitudes, amplitudes)
-    for array in (sigma_diag, positions, block):
-        array.flags.writeable = False
-    return sigma_diag, positions, block
 
 
 def mixed_state(family: NoiseFamily) -> np.ndarray:
     """Density matrix of the noisy state on the N^2-dimensional joint space.
 
-    Both families are real in the computational basis, so rho is float64.
+    Both families are real in the computational basis, so rho is float64.  It
+    is written in two strided passes: lam/N onto the |kk> sub-grid, then
+    (1 - lam) sigma onto the diagonal.
     """
-    sigma_diag, positions, block = _noise_parts(family.kind, family.dim)
-    d = sigma_diag.shape[0]
+    N, lam = family.dim, family.lam
+    d = N * N
+    a = np.float64(1.0 / math.sqrt(N))  # float64 scalars promote a float32 lam as before
     rho = np.zeros((d, d))
-    flat = rho.reshape(-1)
-    flat[:: d + 1] = (1.0 - family.lam) * sigma_diag
-    # |psi><psi| vanishes outside the |kk> block, so adding it there alone
-    # gives lam * |psi><psi| + (1 - lam) * sigma bit for bit.
-    flat[positions] += family.lam * block
+    rho[:: N + 1, :: N + 1] = lam * (a * a)
+    if family.kind == KIND_UNCOLORED:
+        step, weight = d + 1, np.float64(1.0 / d)
+    else:
+        step, weight = (N + 1) * (d + 1), np.float64(1.0 / N)
+    rho.reshape(-1)[::step] += (1.0 - lam) * weight
     return rho
 
 
