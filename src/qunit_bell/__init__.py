@@ -8,10 +8,10 @@ import importlib
 
 _EXPORTS = {
     "bases": ("IntermediateFamily", "computational_basis", "fourier_basis", "intermediate_family",
-              "intermediate_state", "normalization_constant", "overlap_phase", "povm_defect"),
+              "normalization_constant", "povm_defect"),
     "functional": ("BellSetup", "SpectralReport", "analyze", "bell_operator", "bell_setup", "build_layout",
                    "joint_click_table", "max_entangled_state", "quantum_value", "verify_max_entangled_optimality"),
-    "lhv": ("DeterministicStrategy", "bruteforce_bound_with_witness", "greedy_bound_with_witness", "strategy_value"),
+    "lhv": ("DeterministicStrategy", "bruteforce_bound_with_witness", "classical_bound_with_witness", "strategy_value"),
     "linalg": ("projector", "validate_density_matrix"),
     "montecarlo": ("ExperimentPlan", "ExperimentResult", "run"),
     "noise": ("NoiseFamily", "mixed_state", "threshold_closed_form", "threshold_numeric"),

@@ -29,13 +29,6 @@ def _check_dim(N: int) -> int:
     return N
 
 
-def _check_index(i: int, N: int, name: str) -> int:
-    i = _check_int(i, f"{name} index")
-    if not 0 <= i < N:
-        raise ValueError(f"{name} index {i} out of range for dimension {N}")
-    return i
-
-
 def computational_basis(N: int) -> np.ndarray:
     """The N standard unit vectors, as rows."""
     N = _check_dim(N)
@@ -49,30 +42,10 @@ def fourier_basis(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / N) / np.sqrt(N)
 
 
-def overlap_phase(i: int, j: int, N: int) -> float:
-    """Argument phi_ij = 2*pi*i*j/N of the overlap <a_i|a'_j>."""
-    N = _check_dim(N)
-    i = _check_index(i, N, "row")
-    j = _check_index(j, N, "column")
-    return 2.0 * np.pi * i * j / N
-
-
 def normalization_constant(N: int) -> float:
     """Squared norm C = 2*(1 + 1/sqrt(N)) of exp(i*phi_ij)|a_i> + |a'_j>."""
     N = _check_dim(N)
     return 2.0 * (1.0 + 1.0 / np.sqrt(N))
-
-
-def intermediate_state(i: int, j: int, N: int) -> np.ndarray:
-    """Normalized midpoint (exp(i*phi_ij)|a_i> + |a'_j>)/sqrt(C)."""
-    N = _check_dim(N)
-    i = _check_index(i, N, "row")
-    j = _check_index(j, N, "column")
-    a_i = np.zeros(N, dtype=complex)
-    a_i[i] = 1.0
-    a_prime_j = fourier_basis(N)[j]
-    phase = np.exp(1j * overlap_phase(i, j, N))
-    return (phase * a_i + a_prime_j) / np.sqrt(normalization_constant(N))
 
 
 @dataclass(frozen=True)
@@ -90,7 +63,7 @@ class IntermediateFamily:
 
 
 def intermediate_family(N: int) -> IntermediateFamily:
-    """All N^2 states m_ij at once, with the same arithmetic as intermediate_state."""
+    """All N^2 states m_ij = (exp(i*phi_ij)|a_i> + |a'_j>)/sqrt(C), phi_ij = 2*pi*i*j/N."""
     N = _check_dim(N)
     k = np.arange(N)
     phases = 2.0 * np.pi * k[:, None] * k[None, :] / N

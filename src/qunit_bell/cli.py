@@ -34,7 +34,7 @@ if _QUIET_POOL:
 
 from .bases import computational_basis, fourier_basis, intermediate_family
 from .functional import build_layout, max_entangled_state, quantum_value
-from .lhv import bruteforce_bound_with_witness, greedy_bound_with_witness
+from .lhv import bruteforce_bound_with_witness, classical_bound_with_witness
 from .linalg import _check_finite, projector
 from .montecarlo import ExperimentPlan, _check_shots_and_seed, run
 from .noise import (
@@ -176,7 +176,8 @@ def cmd_lhv(args) -> None:
         bound, witness = bruteforce_bound_with_witness(N)
         method = "brute-force"
     else:
-        bound, witness = greedy_bound_with_witness(N)
+        # the closed form's witness is the one the greedy search printed, and so is the label
+        bound, witness = classical_bound_with_witness(N)
         method = "greedy"
     _print_json(
         {
@@ -233,7 +234,7 @@ def cmd_scan(args) -> None:
             {
                 "dim": N,
                 "quantum_max": quantum_value(projector(max_entangled_state(N)), N),
-                "lhv_bound": greedy_bound_with_witness(N)[0],
+                "lhv_bound": classical_bound_with_witness(N)[0],
                 "lambda_mix": threshold_closed_form(KIND_UNCOLORED, N),
                 "lambda_sep": threshold_closed_form(KIND_CLOSEST_SEPARABLE, N),
             }

@@ -3,9 +3,9 @@
 A deterministic strategy fixes Alice's outcome for each basis and one click
 bit per Bob measurement.  Alice's two outcomes can only make one of Bob's N^2
 measurements doubly correct (click gain +2); every other measurement gains 0
-or -2, so the maximum is 2 in every dimension.  Both searches read one table
-of click gains: the brute-force path scores every click mask of every row,
-and the greedy path applies the per-measurement decomposition directly.
+or -2, so the maximum is 2 in every dimension.  classical_bound_with_witness
+states that bound; the brute-force search checks it by scoring every click
+mask of every row of the click-gains table.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ class DeterministicStrategy:
     clicks: int
 
     def __post_init__(self):
-        for name in ("alpha", "alpha_prime", "clicks"):
-            _check_int(getattr(self, name), name)
+        names = ("alpha", "alpha_prime", "clicks")
+        alpha, alpha_prime, clicks = map(_check_int, (self.alpha, self.alpha_prime, self.clicks), names)
         N = _check_dim(self.dim)
-        if not (0 <= self.alpha < N and 0 <= self.alpha_prime < N):
+        if not (0 <= alpha < N and 0 <= alpha_prime < N):
             raise ValueError("Alice outcomes out of range")
-        if not 0 <= self.clicks < (1 << (N * N)):
+        # bit_length, not a comparison with 1 << N^2, which alone takes N^2/8 bytes
+        if clicks < 0 or clicks.bit_length() > N * N:
             raise ValueError(f"click mask needs exactly {N * N} bits")
 
 
@@ -112,18 +113,14 @@ def bruteforce_bound_with_witness(N: int) -> tuple[int, DeterministicStrategy]:
     return value, DeterministicStrategy(N, alpha, alpha_prime, mask)
 
 
-def greedy_bound_with_witness(N: int) -> tuple[int, DeterministicStrategy]:
-    """LHV maximum via the per-measurement decomposition, with a witness.
+def classical_bound_with_witness(N: int) -> tuple[int, DeterministicStrategy]:
+    """LHV maximum 2 in closed form, with the strategy that clicks only m_00.
 
-    Each click bit appears in exactly two terms of B_N, so for fixed Alice
-    outcomes the best pattern clicks exactly the positive-gain measurements;
-    zero-gain measurements are left silent to keep the witness minimal, and
-    the first Alice pair in row-major order wins ties.
+    For Alice outcomes (alpha, alpha'), the click bit of slot (v, j) enters B_N
+    with gain c[A, alpha, v, j] + c[A', alpha', v, j]: +2 only at slot
+    (alpha, (-alpha - alpha') mod N), 0 at 2(N - 1) slots, -2 at the other
+    (N - 1)^2.  So each pair's best is 2, by clicking its one +2 slot; the
+    witness takes the first pair (0, 0), whose +2 slot is bit 0.
     """
     N = _check_dim(N)
-    gains = click_gains(N)
-    np.maximum(gains, 0, out=gains)  # in place, so the peak stays one table
-    values = gains.sum(axis=2, dtype=np.int64)
-    alpha, alpha_prime = divmod(int(np.argmax(values)), N)
-    mask = sum(1 << int(b) for b in np.flatnonzero(gains[alpha, alpha_prime]))
-    return int(values[alpha, alpha_prime]), DeterministicStrategy(N, alpha, alpha_prime, mask)
+    return 2, DeterministicStrategy(N, 0, 0, 0x1)

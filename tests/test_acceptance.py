@@ -17,7 +17,7 @@ from qunit_bell.functional import (
     max_entangled_state,
     quantum_value,
 )
-from qunit_bell.lhv import bruteforce_bound_with_witness, greedy_bound_with_witness
+from qunit_bell.lhv import bruteforce_bound_with_witness, classical_bound_with_witness
 from qunit_bell.linalg import projector
 from qunit_bell.montecarlo import ExperimentPlan, run
 from qunit_bell.noise import (
@@ -53,17 +53,17 @@ def test_criterion_1_quantum_maximum(capsys):
 
 
 def test_criterion_2_lhv_bound(capsys):
-    greedy = [greedy_bound_with_witness(N)[0] for N in range(2, 11)]
+    closed = [classical_bound_with_witness(N)[0] for N in range(2, 11)]
     t0 = time.perf_counter()
     brute = [bruteforce_bound_with_witness(N)[0] for N in range(2, 5)]
     elapsed = time.perf_counter() - t0
-    ok = all(b == 2 for b in greedy) and brute == greedy[:3] == [2, 2, 2] and elapsed < 60.0
+    ok = all(b == 2 for b in closed) and brute == closed[:3] == [2, 2, 2] and elapsed < 60.0
     report(
         capsys,
         2,
-        "LHV bound 2: greedy N=2..10, brute force N=2..4",
+        "LHV bound 2: closed form N=2..10, brute force N=2..4",
         ok,
-        f"greedy {sorted(set(greedy))}, brute {brute}, brute runtime {elapsed:.2f}s (cap 60s)",
+        f"closed form {sorted(set(closed))}, brute {brute}, brute runtime {elapsed:.2f}s (cap 60s)",
     )
 
 

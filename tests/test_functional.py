@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qunit_bell.bases import (
-    computational_basis,
-    fourier_basis,
-    intermediate_family,
-    intermediate_state,
-)
+from qunit_bell.bases import computational_basis, fourier_basis, intermediate_family
 from qunit_bell.functional import (
     SETTING_A,
     SETTING_A_PRIME,
@@ -22,6 +17,7 @@ from qunit_bell.functional import (
     quantum_value,
 )
 from qunit_bell.linalg import hermiticity_defect, projector
+from test_bases import intermediate_state
 
 
 def random_density(rng, d):

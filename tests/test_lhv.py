@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qunit_bell.functional import SETTING_A, SETTING_A_PRIME, bell_setup, quantum_value
+from qunit_bell.functional import SETTING_A, SETTING_A_PRIME, quantum_value
 from qunit_bell.lhv import (
     LOW_BITS,
     DeterministicStrategy,
     _best_mask_exhaustive,
     bruteforce_bound_with_witness,
+    classical_bound_with_witness,
     click_gains,
-    greedy_bound_with_witness,
     strategy_value,
 )
 from qunit_bell.linalg import projector
@@ -30,12 +30,29 @@ def reference_best_mask(gains):
     return int(values[best]), best
 
 
+def greedy_bound_with_witness(N):
+    """Oracle: the LHV maximum via the per-measurement decomposition, with a witness.
+
+    Each click bit appears in exactly two terms of B_N, so for fixed Alice
+    outcomes the best pattern clicks exactly the positive-gain measurements;
+    zero-gain measurements are left silent to keep the witness minimal, and
+    the first Alice pair in row-major order wins ties.
+    """
+    gains = np.maximum(click_gains(N), 0)
+    values = gains.sum(axis=2, dtype=np.int64)
+    alpha, alpha_prime = divmod(int(np.argmax(values)), N)
+    mask = sum(1 << int(b) for b in np.flatnonzero(gains[alpha, alpha_prime]))
+    return int(values[alpha, alpha_prime]), DeterministicStrategy(N, alpha, alpha_prime, mask)
+
+
 def test_strategy_validation():
     DeterministicStrategy(3, 0, 2, (1 << 9) - 1)
     with pytest.raises(ValueError, match="out of range"):
         DeterministicStrategy(3, 3, 0, 0)
-    with pytest.raises(ValueError, match="bits"):
-        DeterministicStrategy(3, 0, 0, 1 << 9)
+    for clicks in (1 << 9, -1, np.int64(-1)):
+        with pytest.raises(ValueError, match="^click mask needs exactly 9 bits$"):
+            DeterministicStrategy(3, 0, 0, clicks)
+    assert DeterministicStrategy(3, 0, 0, np.int64(511)).clicks == 511
     # a fractional field fails here, not later as an IndexError
     for field in ("alpha", "alpha_prime", "clicks"):
         fields = {"dim": 3, "alpha": 0, "alpha_prime": 2, "clicks": 5, field: 0.5}
@@ -57,20 +74,22 @@ def test_single_click_contributions_n3():
 
 
 def test_gain_trichotomy():
-    # per-measurement gains are in {+2, 0, -2} with exactly one +2 per Alice pair
-    for N in range(2, 8):
+    # the counting argument of classical_bound_with_witness: per Alice pair,
+    # one gain of +2, 2(N - 1) of 0 and the other (N - 1)^2 of -2
+    for N in range(2, 33):
         table = click_gains(N)
         assert table.shape == (N, N, N * N) and table.dtype == np.int8
-        c = loop_coefficients(N).astype(int)
-        for alpha in range(N):
-            for alpha_prime in range(N):
-                gains = table[alpha, alpha_prime]
-                assert np.array_equal(gains, (c[SETTING_A, alpha] + c[SETTING_A_PRIME, alpha_prime]).ravel())
-                assert set(np.unique(gains)) <= {-2, 0, 2}
-                assert np.sum(gains == 2) == 1
-                # the doubly-correct slot sits in group (-alpha-alpha') mod N
-                slot = int(np.flatnonzero(gains == 2)[0])
-                assert slot == alpha * N + (-alpha - alpha_prime) % N
+        for gain, count in ((2, 1), (0, 2 * (N - 1)), (-2, N * N - 2 * N + 1)):
+            assert np.array_equal(np.count_nonzero(table == gain, axis=2), np.full((N, N), count))
+        # the doubly-correct slot sits in group (-alpha-alpha') mod N
+        alpha, alpha_prime = np.indices((N, N))
+        assert np.array_equal(np.argmax(table, axis=2), alpha * N + (-alpha - alpha_prime) % N)
+        if N < 8:
+            c = loop_coefficients(N).astype(int)
+            for alpha in range(N):
+                for alpha_prime in range(N):
+                    gains = table[alpha, alpha_prime]
+                    assert np.array_equal(gains, (c[SETTING_A, alpha] + c[SETTING_A_PRIME, alpha_prime]).ravel())
 
 
 @pytest.mark.parametrize("N", (2, 3, 4, 5))
@@ -85,10 +104,30 @@ def test_bruteforce_bound(N):
     [(2, 1, 1, 0x4), (3, 2, 2, 0x100), (4, 3, 3, 0x4000), (5, 4, 4, 0x400000)],
 )
 def test_bruteforce_witness_pinned(N, alpha, alpha_prime, clicks):
+    # the largest Alice pair wins, and its one +2 slot is (N - 1, 2 mod N)
+    assert (alpha, alpha_prime, clicks) == (N - 1, N - 1, 1 << ((N - 1) * N + 2 % N))
     assert bruteforce_bound_with_witness(N) == (
         2,
         DeterministicStrategy(N, alpha, alpha_prime, clicks),
     )
+
+
+def test_closed_form_matches_greedy_oracle():
+    for N in range(2, 65):
+        assert classical_bound_with_witness(N) == greedy_bound_with_witness(N)
+
+
+def test_strategy_check_allocates_no_mask_bound():
+    # 1 << N^2 alone would take N^2/8 bytes, 12.5 MB at N = 10 000
+    DeterministicStrategy(3, 0, 0, 1)
+    tracemalloc.start()
+    try:
+        strategy = DeterministicStrategy(10_000, 0, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    assert classical_bound_with_witness(10_000) == (2, strategy)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
@@ -133,7 +172,10 @@ def test_bruteforce_range_errors():
         bruteforce_bound_with_witness(6)
 
 
-@pytest.mark.parametrize("search", (bruteforce_bound_with_witness, greedy_bound_with_witness))
+# the greedy oracle validates N through click_gains
+@pytest.mark.parametrize(
+    "search", (bruteforce_bound_with_witness, greedy_bound_with_witness, classical_bound_with_witness)
+)
 @pytest.mark.parametrize(
     "N, message",
     [
@@ -149,19 +191,6 @@ def test_bruteforce_range_errors():
 def test_searches_validate_dim_first(search, N, message):
     with pytest.raises(ValueError, match=f"^local dimension must be {message}$"):
         search(N)
-
-
-def test_greedy_peak_is_one_table():
-    N = 32
-    bell_setup(N)  # cached, so only the search itself is traced
-    tracemalloc.start()
-    try:
-        assert greedy_bound_with_witness(N)[0] == 2
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the N^4 int8 table, plus the row sums and the reduction's buffer
-    assert peak < N**4 + (1 << 17)
 
 
 def test_greedy_witness_clicks_only_positive_gains():
@@ -193,7 +222,7 @@ def test_random_strategy_values_even_and_bounded():
 def test_bound_dominates_product_states():
     rng = np.random.default_rng(71)
     for N in (2, 3, 4):
-        bound = greedy_bound_with_witness(N)[0]
+        bound = classical_bound_with_witness(N)[0]
         for _ in range(20):
             a = rng.normal(size=N) + 1j * rng.normal(size=N)
             b = rng.normal(size=N) + 1j * rng.normal(size=N)

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qunit_bell.bases import computational_basis, fourier_basis, intermediate_state
+from qunit_bell.bases import computational_basis, fourier_basis
 from qunit_bell.functional import max_entangled_state
 from qunit_bell.linalg import projector, validate_density_matrix
 from qunit_bell.noise import KIND_CLOSEST_SEPARABLE, KIND_UNCOLORED, NoiseFamily, mixed_state
 
+from test_bases import intermediate_state
 from test_functional import schmidt_spectrum
 
 

@@ -17,7 +17,11 @@ from qunit_bell.functional import quantum_value
 from qunit_bell.noise import NoiseFamily, mixed_state, threshold_closed_form
 from test_functional import loop_coefficients, loop_layout
 
-sp = pytest.importorskip("sympy")
+try:
+    import sympy as sp
+except ImportError:  # only the exact tests need it; the LP and the seesaw run without it
+    sp = None
+needs_sympy = pytest.mark.skipif(sp is None, reason="sympy is not installed")
 
 
 def outer(k):
@@ -30,6 +34,7 @@ def closed_form_coefficients(N):
     return sp.radsimp(2 * root / (root + 1) - 2 * N), sp.radsimp(N * (root + 2) / (root + 1))
 
 
+@needs_sympy
 @pytest.mark.parametrize("N", (2, 3, 4))
 def test_bell_operator_is_exactly_the_closed_form(N):
     root = sp.sqrt(N)
@@ -57,6 +62,7 @@ def test_bell_operator_is_exactly_the_closed_form(N):
     assert residual.applyfunc(lambda z: sp.expand(sp.expand_complex(z))) == sp.zeros(N * N, N * N)
 
 
+@needs_sympy
 @pytest.mark.parametrize("N", (2, 3, 4, 5))
 def test_threshold_closed_forms_are_exact(N):
     alpha, beta = closed_form_coefficients(N)
