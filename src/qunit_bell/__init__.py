@@ -7,8 +7,8 @@ package alone does not load numpy; the command line sets OpenBLAS up first.
 import importlib
 
 _EXPORTS = {
-    "bases": ("IntermediateFamily", "computational_basis", "fourier_basis", "intermediate_family",
-              "normalization_constant", "povm_defect"),
+    "bases": ("computational_basis", "fourier_basis", "intermediate_family", "normalization_constant",
+              "overlap_phases", "povm_defect"),
     "functional": ("BellSetup", "SpectralReport", "analyze", "bell_operator", "bell_setup", "build_layout",
                    "joint_click_table", "max_entangled_state", "quantum_value", "verify_max_entangled_optimality"),
     "lhv": ("DeterministicStrategy", "bruteforce_bound_with_witness", "classical_bound_with_witness", "strategy_value"),

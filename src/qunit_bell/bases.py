@@ -10,7 +10,6 @@ sum to the identity, so the family is a POVM.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,34 +47,24 @@ def normalization_constant(N: int) -> float:
     return 2.0 * (1.0 + 1.0 / np.sqrt(N))
 
 
-@dataclass(frozen=True)
-class IntermediateFamily:
-    """All N^2 intermediate states m_ij with their phases and normalization.
-
-    states[i, j] is the ket m_ij; the first index refers to the A basis,
-    the second to the A' basis.
-    """
-
-    dim: int
-    states: np.ndarray
-    normalization: float
-    phases: np.ndarray
-
-
-def intermediate_family(N: int) -> IntermediateFamily:
-    """All N^2 states m_ij = (exp(i*phi_ij)|a_i> + |a'_j>)/sqrt(C), phi_ij = 2*pi*i*j/N."""
+def overlap_phases(N: int) -> np.ndarray:
+    """(N, N) array of phi_ij = 2*pi*i*j/N, the argument of the overlap <a_i|a'_j>."""
     N = _check_dim(N)
     k = np.arange(N)
-    phases = 2.0 * np.pi * k[:, None] * k[None, :] / N
-    a_i = np.eye(N, dtype=complex)[:, None, :]
-    states = (np.exp(1j * phases)[:, :, None] * a_i + fourier_basis(N)[None, :, :]) / np.sqrt(
-        normalization_constant(N)
-    )
-    return IntermediateFamily(N, states, normalization_constant(N), phases)
+    return 2.0 * np.pi * k[:, None] * k[None, :] / N
 
 
-def povm_defect(family: IntermediateFamily) -> float:
-    """Max-entry deviation of sum_ij (1/N)|m_ij><m_ij| from the identity."""
-    N = family.dim
-    total = np.einsum("ija,ijb->ab", family.states, family.states.conj()) / N
+def intermediate_family(N: int) -> np.ndarray:
+    """(N, N, N) array of all N^2 states: entry [i, j] is m_ij = (exp(i*phi_ij)|a_i> + |a'_j>)/sqrt(C).
+
+    The first index refers to the A basis, the second to the A' basis.
+    """
+    phased = np.exp(1j * overlap_phases(N))[:, :, None] * computational_basis(N)[:, None, :]
+    return (phased + fourier_basis(N)[None, :, :]) / np.sqrt(normalization_constant(N))
+
+
+def povm_defect(states: np.ndarray) -> float:
+    """Max-entry deviation of sum_ij (1/N)|m_ij><m_ij| from the identity, for intermediate_family's array."""
+    N = states.shape[-1]
+    total = np.einsum("ija,ijb->ab", states, states.conj()) / N
     return float(np.abs(total - np.eye(N)).max())

@@ -32,7 +32,7 @@ import numpy as np  # noqa: E402
 if _QUIET_POOL:
     del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
-from .bases import computational_basis, fourier_basis, intermediate_family
+from .bases import computational_basis, fourier_basis, intermediate_family, normalization_constant, overlap_phases
 from .functional import build_layout, max_entangled_state, quantum_value
 from .lhv import bruteforce_bound_with_witness, classical_bound_with_witness
 from .linalg import _check_finite, projector
@@ -141,14 +141,13 @@ def _print_json(payload) -> None:
 
 def cmd_construct(args) -> None:
     N = args.dim
-    family = intermediate_family(N)
     document = {
         "local_dim": N,
-        "normalization": family.normalization,
+        "normalization": normalization_constant(N),
         "computational_basis": _encode_complex(computational_basis(N)),
         "fourier_basis": _encode_complex(fourier_basis(N)),
-        "phases": family.phases.tolist(),
-        "intermediate_states": _encode_complex(family.states),
+        "phases": overlap_phases(N).tolist(),
+        "intermediate_states": _encode_complex(intermediate_family(N)),
         "value_assignment": build_layout(N).tolist(),
     }
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -176,9 +175,8 @@ def cmd_lhv(args) -> None:
         bound, witness = bruteforce_bound_with_witness(N)
         method = "brute-force"
     else:
-        # the closed form's witness is the one the greedy search printed, and so is the label
         bound, witness = classical_bound_with_witness(N)
-        method = "greedy"
+        method = "closed-form"
     _print_json(
         {
             "dim": N,

@@ -100,7 +100,7 @@ def bell_setup(N: int) -> BellSetup:
     N = _check_dim(N)
     alice = np.stack([computational_basis(N), fourier_basis(N)])
     assignment = build_layout(N)
-    bob = intermediate_family(N).states[assignment[..., 0], assignment[..., 1]]
+    bob = intermediate_family(N)[assignment[..., 0], assignment[..., 1]]
     u, v, j = np.ogrid[:N, :N, :N]  # +1 on the correlated slot of each (setting, outcome, group)
     correlated = np.stack(np.broadcast_arrays(v == u, v == (-u - j) % N))
     c = correlated.astype(np.int8) * 2 - 1

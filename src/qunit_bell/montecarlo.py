@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import _check_int
+from .bases import _check_dim, _check_int
 from .functional import bell_setup, joint_click_table
 
 GENERATOR_NAME = "philox4x64"
@@ -38,6 +38,7 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
+        _check_dim(self.dim)
         _check_shots_and_seed(self.shots_per_combination, self.seed)
 
 

@@ -74,7 +74,7 @@ def test_criterion_3_identification_probabilities(capsys):
         wrong = (0.5 - 0.5 / np.sqrt(N)) / (N - 1)
         a = computational_basis(N)
         ap = fourier_basis(N)
-        states = intermediate_family(N).states
+        states = intermediate_family(N)
         for i in range(N):
             for j in range(N):
                 p_a = np.abs(a @ states[i, j].conj()) ** 2

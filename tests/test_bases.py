@@ -8,6 +8,7 @@ from qunit_bell.bases import (
     fourier_basis,
     intermediate_family,
     normalization_constant,
+    overlap_phases,
     povm_defect,
 )
 from qunit_bell.functional import max_entangled_state, quantum_value
@@ -178,12 +179,14 @@ def test_intermediate_midpoint_property():
 
 def test_family_fields_and_normalization():
     fam = intermediate_family(3)
-    assert fam.states.shape == (3, 3, 3)
-    assert abs(fam.normalization - 2 * (1 + 1 / np.sqrt(3))) < 1e-12
+    phases = overlap_phases(3)
+    assert fam.shape == (3, 3, 3)
+    assert phases.shape == (3, 3)
+    assert abs(normalization_constant(3) - 2 * (1 + 1 / np.sqrt(3))) < 1e-12
     for i in range(3):
         for j in range(3):
-            assert abs(np.linalg.norm(fam.states[i, j]) - 1.0) < 1e-10
-            assert fam.phases[i, j] == overlap_phase(i, j, 3)
+            assert abs(np.linalg.norm(fam[i, j]) - 1.0) < 1e-10
+            assert phases[i, j] == overlap_phase(i, j, 3)
 
 
 @pytest.mark.parametrize("N", range(2, 11))
@@ -193,7 +196,7 @@ def test_povm_completeness(N):
 
 def test_nonorthogonality_n3():
     # all 36 distinct pairs of the nine states have nonzero overlap
-    states = intermediate_family(3).states.reshape(9, 3)
+    states = intermediate_family(3).reshape(9, 3)
     count = 0
     for s in range(9):
         for t in range(s + 1, 9):
@@ -205,7 +208,7 @@ def test_nonorthogonality_n3():
 def test_n2_family_splits_into_orthonormal_pairs():
     # the four N=2 states happen to form two orthonormal bases:
     # {m_00, m_11} and {m_01, m_10}
-    fam = intermediate_family(2).states
+    fam = intermediate_family(2)
     for pair in ((fam[0, 0], fam[1, 1]), (fam[0, 1], fam[1, 0])):
         basis = np.stack(pair)
         assert np.abs(basis @ basis.conj().T - np.eye(2)).max() < 1e-10

@@ -15,7 +15,13 @@ import pytest
 import qunit_bell.cli as cli
 import qunit_bell.functional as functional
 import qunit_bell.linalg as linalg
-from qunit_bell.bases import computational_basis, fourier_basis, intermediate_family
+from qunit_bell.bases import (
+    computational_basis,
+    fourier_basis,
+    intermediate_family,
+    normalization_constant,
+    overlap_phases,
+)
 from qunit_bell.cli import main
 from qunit_bell.functional import build_layout, max_entangled_state
 from qunit_bell.linalg import projector
@@ -85,8 +91,8 @@ def test_construct_round_trip_bit_for_bit(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "construct", "--dim", "4", "--out", str(out))
     assert code == 0
     doc = json.loads(out.read_text())
-    assert np.array_equal(decode(doc["intermediate_states"]), intermediate_family(4).states)
-    assert np.array_equal(np.asarray(doc["phases"]), intermediate_family(4).phases)
+    assert np.array_equal(decode(doc["intermediate_states"]), intermediate_family(4))
+    assert np.array_equal(np.asarray(doc["phases"]), overlap_phases(4))
 
 
 @pytest.mark.parametrize("N", (2, 5, 8))
@@ -303,12 +309,12 @@ def test_missing_state_file(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
-def test_lhv_greedy(capsys):
+def test_lhv_closed_form(capsys):
     code, stdout, _ = run_cli(capsys, "lhv", "--dim", "3")
     assert code == 0
     report = json.loads(stdout)
     assert report["bound"] == 2
-    assert report["method"] == "greedy"
+    assert report["method"] == "closed-form"
     assert report["strategy"] == {"alpha": 0, "alpha_prime": 0, "clicks": "0x1"}
 
 
@@ -321,7 +327,7 @@ def test_lhv_brute_force_agrees(capsys):
     assert report["strategy"] == {"alpha": 2, "alpha_prime": 2, "clicks": "0x100"}
 
 
-def test_lhv_greedy_dim8(capsys):
+def test_lhv_closed_form_dim8(capsys):
     code, stdout, _ = run_cli(capsys, "lhv", "--dim", "8")
     assert code == 0
     assert json.loads(stdout)["bound"] == 2
@@ -755,14 +761,13 @@ def test_construct_file_matches_reference_encoder_bytes(tmp_path, N):
     out = tmp_path / "family.json"
     code, _, stderr = run_cli_in_process("construct", "--dim", str(N), "--out", str(out))
     assert (code, stderr) == (0, [])
-    family = intermediate_family(N)
     document = {
         "local_dim": N,
-        "normalization": family.normalization,
+        "normalization": normalization_constant(N),
         "computational_basis": reference_encode_complex(computational_basis(N)),
         "fourier_basis": reference_encode_complex(fourier_basis(N)),
-        "phases": family.phases.tolist(),
-        "intermediate_states": reference_encode_complex(family.states),
+        "phases": overlap_phases(N).tolist(),
+        "intermediate_states": reference_encode_complex(intermediate_family(N)),
         "value_assignment": build_layout(N).tolist(),
     }
     assert out.read_bytes() == (json.dumps(document, indent=2) + "\n").encode()

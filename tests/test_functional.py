@@ -29,7 +29,7 @@ def random_density(rng, d):
 def oracle_click_table(rho, N):
     """Reference table: every joint ket a^x_u (x) m_vj built by kron, O(N^7)."""
     layout = loop_layout(N)
-    m_flat = intermediate_family(N).states.reshape(N * N, N)
+    m_flat = intermediate_family(N).reshape(N * N, N)
     slot = layout[:, :, 0] * N + layout[:, :, 1]  # (v, j) -> flat m index
     probs = np.empty((2, N, N, N))
     for x, alice in enumerate((computational_basis(N), fourier_basis(N))):
@@ -47,7 +47,7 @@ def reference_bell_operator(N):
     """
     alice = np.stack([computational_basis(N), fourier_basis(N)])
     assignment = loop_layout(N)
-    bob = intermediate_family(N).states[assignment[..., 0], assignment[..., 1]]
+    bob = intermediate_family(N)[assignment[..., 0], assignment[..., 1]]
     c = loop_coefficients(N)
     alice_proj = np.einsum("xua,xuc->xuac", alice, alice.conj())
     bob_part = np.einsum("xuvj,vjb,vjd->xubd", c, bob, bob.conj())
@@ -90,7 +90,7 @@ def test_broadcast_construction_matches_loops(N):
     c = bell_setup(N).coefficients
     assert c.dtype == np.int8
     assert np.array_equal(c, loop_coefficients(N))
-    family = intermediate_family(N).states
+    family = intermediate_family(N)
     for i in range(N):
         for j in range(N):
             assert np.abs(family[i, j] - intermediate_state(i, j, N)).max() <= 1e-15
@@ -273,7 +273,7 @@ def test_click_table_max_entangled_a_prime_side():
     N = 3
     rho = projector(max_entangled_state(N))
     table = joint_click_table(rho, N)
-    m_20 = intermediate_family(N).states[2, 0]
+    m_20 = intermediate_family(N)[2, 0]
     joint = np.kron(fourier_basis(N)[0], m_20)
     want = np.vdot(joint, rho @ joint).real
     got = table[SETTING_A_PRIME, 0, 2, 1]

@@ -47,6 +47,16 @@ def test_plan_validation():
     ExperimentPlan(2, rho, 2**63 - 1, 0)
 
 
+@pytest.mark.parametrize(
+    "dim, message",
+    ((2.5, "local dimension must be an integer, got 2.5"), (1, "at least 2, got 1"), (True, "at least 2, got 1")),
+    ids=("2.5", "1", "True"),
+)
+def test_plan_validates_dim_when_built(dim, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan(dim, projector(max_entangled_state(2)), 10, 1)
+
+
 def test_run_rejects_invalid_density():
     with pytest.raises(ValueError, match="trace"):
         run(ExperimentPlan(2, np.eye(4), 10, 0))

@@ -48,7 +48,7 @@ def table_permutations(N, a, b):
     """(sigma_A, sigma_A', tau): U_ab moves outcome u of setting x to sigma_x[u] and slot s = v*N + j to tau[s]."""
     alice_u, bob_u = local_unitaries(N, a, b)
     layout = loop_layout(N)
-    bob = intermediate_family(N).states[layout[..., 0], layout[..., 1]].reshape(N * N, N)
+    bob = intermediate_family(N)[layout[..., 0], layout[..., 1]].reshape(N * N, N)
     sigmas = [state_permutation(basis, alice_u) for basis in (computational_basis(N), fourier_basis(N))]
     return sigmas, state_permutation(bob, bob_u)
 
