@@ -14,7 +14,7 @@ _EXPORTS = {
     "lhv": ("DeterministicStrategy", "bruteforce_bound_with_witness", "classical_bound_with_witness", "strategy_value"),
     "linalg": ("projector", "validate_density_matrix"),
     "montecarlo": ("ExperimentPlan", "ExperimentResult", "run"),
-    "noise": ("NoiseFamily", "mixed_state", "threshold_closed_form", "threshold_numeric"),
+    "noise": ("mixed_state", "threshold_closed_form", "threshold_numeric"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

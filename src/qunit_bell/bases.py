@@ -22,10 +22,10 @@ def _check_int(value, name: str) -> int:
 
 
 def _check_dim(N: int) -> int:
-    N = _check_int(N, "local dimension")
-    if N < 2:
+    n = _check_int(N, "local dimension")
+    if n < 2:  # quote N itself, so a bool reads True rather than 1
         raise ValueError(f"local dimension must be at least 2, got {N}")
-    return N
+    return n
 
 
 def computational_basis(N: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Noise robustness: how much mixing the maximally entangled state tolerates.
 
-Two one-parameter families are supported: admixture of white noise (the
-maximally mixed state on the joint space) and admixture of the closest
-separable state (1/N) sum_i |a_i a_i><a_i a_i|.  The threshold is the mixing
-weight at which B_N falls to the classical limit 2.
+The noisy state is lam |psi><psi| + (1 - lam) sigma, with sigma white noise
+(the maximally mixed state on the joint space) or the closest separable state
+(1/N) sum_i |a_i a_i><a_i a_i|.  The threshold is the mixing weight at which
+B_N falls to the classical limit 2.  Every function takes (kind, N[, lam]):
+kind is KIND_UNCOLORED or KIND_CLOSEST_SEPARABLE, N an integer of at least 2,
+and lam a real scalar in [0, 1]; mixed_state checks them in that order.
 
 |kk> is basis vector k(N + 1), so |psi><psi| is 1/N on the sub-grid
 rho[::N+1, ::N+1] and 0 elsewhere, and both kinds of sigma are diagonal.
@@ -12,7 +14,6 @@ rho[::N+1, ::N+1] and 0 elsewhere, and both kinds of sigma are diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,36 +29,23 @@ _KINDS = (KIND_UNCOLORED, KIND_CLOSEST_SEPARABLE)
 BISECTION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class NoiseFamily:
-    """lam * |psi><psi| + (1 - lam) * sigma with sigma picked by `kind`."""
+def mixed_state(kind: str, N: int, lam: float) -> np.ndarray:
+    """Noisy state on the N^2-dimensional joint space; lam may be any Python or numpy real, bool included.
 
-    kind: str
-    dim: int
-    lam: float
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {_KINDS}")
-        _check_dim(self.dim)
-        real = isinstance(self.lam, (int, float, np.integer, np.floating, np.bool_))
-        if not (real and 0.0 <= self.lam <= 1.0):
-            raise ValueError(f"mixing weight must lie in [0, 1], got {self.lam}")
-
-
-def mixed_state(family: NoiseFamily) -> np.ndarray:
-    """Density matrix of the noisy state on the N^2-dimensional joint space.
-
-    Both families are real in the computational basis, so rho is float64.  It
-    is written in two strided passes: lam/N onto the |kk> sub-grid, then
-    (1 - lam) sigma onto the diagonal.
+    Both kinds are real in the computational basis, so rho is float64, written in two
+    strided passes: lam/N onto the |kk> sub-grid, then (1 - lam) sigma onto the diagonal.
     """
-    N, lam = family.dim, family.lam
+    if kind not in _KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}, expected one of {_KINDS}")
+    N = _check_dim(N)
+    real = isinstance(lam, (int, float, np.integer, np.floating, np.bool_))
+    if not (real and 0.0 <= lam <= 1.0):
+        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
     d = N * N
     a = np.float64(1.0 / math.sqrt(N))  # float64 scalars promote a float32 lam as before
     rho = np.zeros((d, d))
     rho[:: N + 1, :: N + 1] = lam * (a * a)
-    if family.kind == KIND_UNCOLORED:
+    if kind == KIND_UNCOLORED:
         step, weight = d + 1, np.float64(1.0 / d)
     else:
         step, weight = (N + 1) * (d + 1), np.float64(1.0 / N)
@@ -84,7 +72,7 @@ def threshold_numeric(kind: str, N: int) -> float:
     N = _check_dim(N)
 
     def excess(lam: float) -> float:
-        return quantum_value(mixed_state(NoiseFamily(kind, N, lam)), N) - CLASSICAL_BOUND
+        return quantum_value(mixed_state(kind, N, lam), N) - CLASSICAL_BOUND
 
     lo, hi = 0.0, 1.0
     f_lo, f_hi = excess(lo), excess(hi)

@@ -185,7 +185,7 @@ def test_bruteforce_range_errors():
         (2.5, "an integer, got 2.5"),
         ("3", "an integer, got 3"),
         (None, "an integer, got None"),
-        (True, "at least 2, got 1"),
+        (True, "at least 2, got True"),
     ],
 )
 def test_searches_validate_dim_first(search, N, message):

@@ -7,7 +7,7 @@ import pytest
 from qunit_bell.bases import computational_basis, fourier_basis
 from qunit_bell.functional import max_entangled_state
 from qunit_bell.linalg import projector, validate_density_matrix
-from qunit_bell.noise import KIND_CLOSEST_SEPARABLE, KIND_UNCOLORED, NoiseFamily, mixed_state
+from qunit_bell.noise import KIND_CLOSEST_SEPARABLE, KIND_UNCOLORED, mixed_state
 
 from test_bases import intermediate_state
 from test_functional import schmidt_spectrum
@@ -299,7 +299,7 @@ def cholesky_dtypes(monkeypatch):
 @pytest.mark.parametrize("N", (2, 3, 6))
 def test_real_states_are_factored_in_real_arithmetic(N, cholesky_dtypes):
     real_states = [projector(max_entangled_state(N))] + [
-        mixed_state(NoiseFamily(kind, N, lam))
+        mixed_state(kind, N, lam)
         for kind in (KIND_UNCOLORED, KIND_CLOSEST_SEPARABLE)
         for lam in (0.0, 0.4, 1.0)
     ]

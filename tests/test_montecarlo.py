@@ -49,7 +49,7 @@ def test_plan_validation():
 
 @pytest.mark.parametrize(
     "dim, message",
-    ((2.5, "local dimension must be an integer, got 2.5"), (1, "at least 2, got 1"), (True, "at least 2, got 1")),
+    ((2.5, "local dimension must be an integer, got 2.5"), (1, "at least 2, got 1"), (True, "at least 2, got True")),
     ids=("2.5", "1", "True"),
 )
 def test_plan_validates_dim_when_built(dim, message):

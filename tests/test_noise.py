@@ -10,7 +10,6 @@ from qunit_bell.montecarlo import ExperimentPlan, run
 from qunit_bell.noise import (
     KIND_CLOSEST_SEPARABLE,
     KIND_UNCOLORED,
-    NoiseFamily,
     mixed_state,
     threshold_closed_form,
     threshold_numeric,
@@ -19,35 +18,43 @@ from qunit_bell.noise import (
 KINDS = (KIND_UNCOLORED, KIND_CLOSEST_SEPARABLE)
 
 
-def test_family_validation():
-    NoiseFamily(KIND_UNCOLORED, 3, 0.5)
+def test_mixed_state_validation():
+    mixed_state(KIND_UNCOLORED, 3, 0.5)
     with pytest.raises(ValueError, match="unknown noise kind"):
-        NoiseFamily("pink", 3, 0.5)
-    with pytest.raises(ValueError, match="at least 2"):
-        NoiseFamily(KIND_UNCOLORED, 1, 0.5)
+        mixed_state("pink", 3, 0.5)
+    with pytest.raises(ValueError, match="at least 2, got 1$"):
+        mixed_state(KIND_UNCOLORED, 1, 0.5)
+    with pytest.raises(ValueError, match="at least 2, got True$"):
+        mixed_state(KIND_UNCOLORED, True, 0.5)
     with pytest.raises(ValueError, match="must be an integer, got 2.7"):
-        NoiseFamily(KIND_UNCOLORED, 2.7, 0.5)
+        mixed_state(KIND_UNCOLORED, 2.7, 0.5)
+    # kind is checked before N, and N before lam
+    with pytest.raises(ValueError, match="unknown noise kind"):
+        mixed_state("pink", 1, 1.5)
+    with pytest.raises(ValueError, match="at least 2"):
+        mixed_state(KIND_UNCOLORED, 1, 1.5)
     for lam in (1.5, -0.1, float("nan"), "0.5", None, 1j, [0.5], np.array([0.2, 0.5])):
         with pytest.raises(ValueError, match=r"mixing weight must lie in \[0, 1\], got"):
-            NoiseFamily(KIND_UNCOLORED, 3, lam)
+            mixed_state(KIND_UNCOLORED, 3, lam)
     for lam in (0, 1, False, True, 0.0, 0.5, 1.0, np.float16(0.5), np.float32(0.5), np.int64(1), np.True_):
-        assert NoiseFamily(KIND_UNCOLORED, 3, lam).lam is lam
+        for kind in KINDS:
+            assert mixed_state(kind, 3, lam).tobytes() == mixed_state(kind, 3, float(lam)).tobytes(), (kind, lam)
 
 
 def test_lambda_one_recovers_pure_state():
     pure = projector(max_entangled_state(3))
     for kind in KINDS:
-        assert np.abs(mixed_state(NoiseFamily(kind, 3, 1.0)) - pure).max() < 1e-12
+        assert np.abs(mixed_state(kind, 3, 1.0) - pure).max() < 1e-12
 
 
 def test_lambda_zero_uncolored():
-    rho = mixed_state(NoiseFamily(KIND_UNCOLORED, 3, 0.0))
+    rho = mixed_state(KIND_UNCOLORED, 3, 0.0)
     assert np.abs(rho - np.eye(9) / 9).max() < 1e-12
     assert abs(quantum_value(rho, 3) - 2 * (2 - 3)) < 1e-10
 
 
 def test_lambda_zero_separable_n3():
-    rho = mixed_state(NoiseFamily(KIND_CLOSEST_SEPARABLE, 3, 0.0))
+    rho = mixed_state(KIND_CLOSEST_SEPARABLE, 3, 0.0)
     want = np.zeros((9, 9))
     want[[0, 4, 8], [0, 4, 8]] = 1 / 3
     assert np.abs(rho - want).max() < 1e-12
@@ -58,7 +65,7 @@ def test_mixed_states_are_valid_densities():
     for N in (2, 3):
         for kind in KINDS:
             for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-                validate_density_matrix(mixed_state(NoiseFamily(kind, N, lam)))
+                validate_density_matrix(mixed_state(kind, N, lam))
 
 
 def test_closed_forms():
@@ -85,10 +92,10 @@ def test_numeric_matches_closed_form(N, kind):
 
 def test_value_is_affine_in_lambda():
     for kind in KINDS:
-        base = quantum_value(mixed_state(NoiseFamily(kind, 3, 0.0)), 3)
+        base = quantum_value(mixed_state(kind, 3, 0.0), 3)
         top = 2 * np.sqrt(3)
         for lam in np.linspace(0.0, 1.0, 10):
-            got = quantum_value(mixed_state(NoiseFamily(kind, 3, float(lam))), 3)
+            got = quantum_value(mixed_state(kind, 3, float(lam)), 3)
             assert abs(got - (lam * top + (1 - lam) * base)) < 1e-10
 
 
@@ -106,32 +113,48 @@ def test_threshold_ordering():
     assert abs(mix2 - 1 / np.sqrt(2)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "kind, N, message",
+    (
+        ("pink", 3, "unknown noise kind 'pink'"),
+        (KIND_UNCOLORED, 1, "local dimension must be at least 2, got 1$"),
+        (KIND_UNCOLORED, 2.7, "local dimension must be an integer, got 2.7$"),
+        (KIND_UNCOLORED, True, "local dimension must be at least 2, got True$"),
+    ),
+    ids=("pink", "1", "2.7", "True"),
+)
+def test_threshold_numeric_refuses_bad_input_before_evaluating(monkeypatch, kind, N, message):
+    calls = []
+    monkeypatch.setattr(noise, "quantum_value", lambda rho, N: calls.append(N) or 0.0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        threshold_numeric(kind, N)
+    assert calls == []
+
+
 def test_bisection_reports_missing_sign_change(monkeypatch):
     monkeypatch.setattr(noise, "quantum_value", lambda rho, N: 0.0)
     with pytest.raises(ValueError, match="no sign change"):
         threshold_numeric(KIND_UNCOLORED, 3)
 
 
-def reference_mixed_state(family):
+def reference_mixed_state(kind, N, lam):
     """The former mixed_state: the full projector of the ket, plus the noise."""
-    N = family.dim
     d = N * N
     pure = projector(max_entangled_state(N))
-    if family.kind == KIND_UNCOLORED:
+    if kind == KIND_UNCOLORED:
         sigma = np.eye(d, dtype=complex) / d
     else:
         sigma = np.zeros((d, d), dtype=complex)
         diag = np.arange(N) * (N + 1)
         sigma[diag, diag] = 1.0 / N
-    return family.lam * pure + (1.0 - family.lam) * sigma
+    return lam * pure + (1.0 - lam) * sigma
 
 
 @pytest.mark.parametrize("N", range(2, 17))
 @pytest.mark.parametrize("kind", KINDS)
 def test_mixed_state_bit_identical_to_reference(kind, N):
     for lam in (0.0, 0.123456789, 0.3, 1.0, *PINNED_THRESHOLDS[kind]):
-        family = NoiseFamily(kind, N, lam)
-        got, want = mixed_state(family), reference_mixed_state(family)
+        got, want = mixed_state(kind, N, lam), reference_mixed_state(kind, N, lam)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert not want.imag.any()
         assert got.tobytes() == want.real.tobytes()  # also tells -0.0 from 0.0
@@ -165,19 +188,18 @@ def test_threshold_numeric_pinned_floats(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_mutating_mixed_state_leaves_next_call_intact(kind):
-    family = NoiseFamily(kind, 3, 0.4)
-    first = mixed_state(family)
+    first = mixed_state(kind, 3, 0.4)
     want = first.tobytes()
     first[:] = 7.0
-    reference = reference_mixed_state(family)
+    reference = reference_mixed_state(kind, 3, 0.4)
     assert not reference.imag.any()
-    assert mixed_state(family).tobytes() == want == reference.real.tobytes()
+    assert mixed_state(kind, 3, 0.4).tobytes() == want == reference.real.tobytes()
 
 
 @pytest.mark.parametrize("N", (2, 3, 6))
 @pytest.mark.parametrize("kind", KINDS)
 def test_float64_states_pass_through_every_caller(kind, N):
-    rho = mixed_state(NoiseFamily(kind, N, 0.37))
+    rho = mixed_state(kind, N, 0.37)
     as_complex = rho.astype(complex)
     assert joint_click_table(rho, N).tobytes() == joint_click_table(as_complex, N).tobytes()
     got, want = (run(ExperimentPlan(N, state, 1000, 5)) for state in (rho, as_complex))
@@ -192,7 +214,7 @@ def test_value_does_not_depend_on_dtype(kind):
     # sums them in one order; the gap was up to 4.8e-14 when it did not
     for N in range(2, 11):
         for lam in np.linspace(0.0, 1.0, 11):
-            rho = mixed_state(NoiseFamily(kind, N, lam))
+            rho = mixed_state(kind, N, lam)
             assert quantum_value(rho.astype(complex), N) == quantum_value(rho, N)
 
 
@@ -204,7 +226,7 @@ def test_mixed_state_allocates_only_rho(kind):
     d = N * N
     tracemalloc.start()
     try:
-        rho = mixed_state(NoiseFamily(kind, N, 0.37))
+        rho = mixed_state(kind, N, 0.37)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

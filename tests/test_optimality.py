@@ -14,7 +14,7 @@ import pytest
 
 from qunit_bell.bases import computational_basis, fourier_basis
 from qunit_bell.functional import quantum_value
-from qunit_bell.noise import NoiseFamily, mixed_state, threshold_closed_form
+from qunit_bell.noise import mixed_state, threshold_closed_form
 from test_functional import loop_coefficients, loop_layout
 
 try:
@@ -78,7 +78,7 @@ def test_threshold_closed_forms_are_exact(N):
         "closest_separable": (N - root) / (N + root - 2),
     }
     for kind, b_sigma in noise_value.items():
-        assert quantum_value(mixed_state(NoiseFamily(kind, N, 0.0)), N) == pytest.approx(float(b_sigma), abs=1e-12)
+        assert quantum_value(mixed_state(kind, N, 0.0), N) == pytest.approx(float(b_sigma), abs=1e-12)
         # lam |psi><psi| + (1 - lam) sigma reaches B_N = 2 at lam* = (2 - B_sigma) / (2 sqrt(N) - B_sigma)
         threshold = (2 - b_sigma) / (2 * root - b_sigma)
         assert sp.expand(sp.radsimp(threshold - closed_form[kind])) == 0

@@ -7,4 +7,6 @@ def test_lazy_exports_resolve_to_their_modules():
             assert getattr(qunit_bell, name).__module__ == f"qunit_bell.{module}", name
     assert len(qunit_bell.__all__) == len(set(qunit_bell.__all__))
     assert set(qunit_bell.__all__) <= set(dir(qunit_bell))
-    assert "IntermediateFamily" not in dir(qunit_bell)
+    for gone in ("IntermediateFamily", "NoiseFamily"):
+        assert gone not in dir(qunit_bell)
+    assert not hasattr(qunit_bell.noise, "NoiseFamily")
