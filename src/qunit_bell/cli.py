@@ -193,10 +193,6 @@ def cmd_lhv(args) -> None:
 
 def cmd_noise(args) -> None:
     N = args.dim
-    if args.kind not in _NOISE_KINDS:
-        raise ValueError(
-            f"unknown noise kind {args.kind!r}, expected 'uncolored' or 'separable'"
-        )
     kind = _NOISE_KINDS[args.kind]
     closed = threshold_closed_form(kind, N)
     numeric = threshold_numeric(kind, N)
@@ -294,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lhv)
 
     p = sub.add_parser("noise", parents=[dim], help="noise threshold where B_N drops to the classical limit")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=tuple(_NOISE_KINDS))
     p.set_defaults(handler=cmd_noise)
 
     p = sub.add_parser("scan", help="quantum max, LHV bound and noise thresholds over a dimension range")

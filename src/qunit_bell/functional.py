@@ -94,7 +94,7 @@ def max_entangled_state(N: int) -> np.ndarray:
     return psi
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed, so 3.0 never hits np.int64(3)'s entry unchecked
 def bell_setup(N: int) -> BellSetup:
     """Setup for N, with W = alpha 1 + beta (P_Z + P_X) kept as alpha, beta and a gather."""
     N = _check_dim(N)
@@ -145,9 +145,8 @@ def joint_click_table(rho: np.ndarray, N: int) -> np.ndarray:
 
 def quantum_value(rho: np.ndarray, N: int) -> float:
     """B_N = Tr(rho W) = alpha Tr(rho) + beta (S_Z + S_X) of a (possibly mixed) state."""
-    N = _check_dim(N)
-    rho = _validated_state(rho, N)
-    setup = bell_setup(N)
+    setup = bell_setup(_check_dim(N))  # N before rho, as an int: the cache cannot hash a list or a 0-d array
+    rho = _validated_state(rho, setup.dim)
     # contiguous for either dtype, so float64 and complex128 rho sum in the same order
     return float(setup.weights @ np.ascontiguousarray(rho.ravel()[setup.index].real))
 

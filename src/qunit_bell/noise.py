@@ -5,7 +5,7 @@ The noisy state is lam |psi><psi| + (1 - lam) sigma, with sigma white noise
 (1/N) sum_i |a_i a_i><a_i a_i|.  The threshold is the mixing weight at which
 B_N falls to the classical limit 2.  Every function takes (kind, N[, lam]):
 kind is KIND_UNCOLORED or KIND_CLOSEST_SEPARABLE, N an integer of at least 2,
-and lam a real scalar in [0, 1]; mixed_state checks them in that order.
+and lam a real scalar in [0, 1]; every function checks kind, then N, then lam.
 
 |kk> is basis vector k(N + 1), so |psi><psi| is 1/N on the sub-grid
 rho[::N+1, ::N+1] and 0 elsewhere, and both kinds of sigma are diagonal.
@@ -29,15 +29,19 @@ _KINDS = (KIND_UNCOLORED, KIND_CLOSEST_SEPARABLE)
 BISECTION_TOL = 1e-10
 
 
+def _check_kind_and_dim(kind: str, N: int) -> int:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}, expected one of {_KINDS}")
+    return _check_dim(N)
+
+
 def mixed_state(kind: str, N: int, lam: float) -> np.ndarray:
     """Noisy state on the N^2-dimensional joint space; lam may be any Python or numpy real, bool included.
 
     Both kinds are real in the computational basis, so rho is float64, written in two
     strided passes: lam/N onto the |kk> sub-grid, then (1 - lam) sigma onto the diagonal.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown noise kind {kind!r}, expected one of {_KINDS}")
-    N = _check_dim(N)
+    N = _check_kind_and_dim(kind, N)
     real = isinstance(lam, (int, float, np.integer, np.floating, np.bool_))
     if not (real and 0.0 <= lam <= 1.0):
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
@@ -55,12 +59,9 @@ def mixed_state(kind: str, N: int, lam: float) -> np.ndarray:
 
 def threshold_closed_form(kind: str, N: int) -> float:
     """Mixing weight where B_N = 2, in closed form."""
-    N = _check_dim(N)
-    if kind == KIND_UNCOLORED:
-        return (N - 1) / (N + np.sqrt(N) - 2)
-    if kind == KIND_CLOSEST_SEPARABLE:
-        return (N - np.sqrt(N)) / (N + np.sqrt(N) - 2)
-    raise ValueError(f"unknown noise kind {kind!r}, expected one of {_KINDS}")
+    N = _check_kind_and_dim(kind, N)
+    numerator = N - 1 if kind == KIND_UNCOLORED else N - np.sqrt(N)
+    return numerator / (N + np.sqrt(N) - 2)
 
 
 def threshold_numeric(kind: str, N: int) -> float:
@@ -69,8 +70,6 @@ def threshold_numeric(kind: str, N: int) -> float:
     B_N is affine in the mixing weight, so the root is unique whenever the
     pure state violates the bound and the pure noise does not.
     """
-    N = _check_dim(N)
-
     def excess(lam: float) -> float:
         return quantum_value(mixed_state(kind, N, lam), N) - CLASSICAL_BOUND
 

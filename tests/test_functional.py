@@ -17,6 +17,7 @@ from qunit_bell.functional import (
     quantum_value,
 )
 from qunit_bell.linalg import hermiticity_defect, projector
+from qunit_bell.noise import KIND_UNCOLORED, mixed_state, threshold_numeric
 from test_bases import intermediate_state
 
 
@@ -147,6 +148,32 @@ def test_quantum_value_validates_every_state(rho, needle):
     bell_setup(2)  # a warm cache must not skip the checks
     with pytest.raises(ValueError, match=needle):
         quantum_value(rho, 2)
+
+
+@pytest.mark.parametrize(
+    "rho, N, message",
+    ((2 * np.eye(1), 1, "must be at least 2, got 1$"), (np.eye(4) / 4, 2.5, "must be an integer, got 2.5$")),
+    ids=("1", "2.5"),
+)
+def test_quantum_value_checks_N_before_rho(rho, N, message):
+    with pytest.raises(ValueError, match=f"^local dimension {message}"):
+        quantum_value(rho, N)
+
+
+@pytest.mark.parametrize("N", (np.array(3), np.int64(3)))
+def test_quantum_value_takes_any_integer_dimension(N):
+    rho = mixed_state(KIND_UNCOLORED, 3, 0.5)
+    assert quantum_value(rho, N) == quantum_value(rho, 3)
+    assert threshold_numeric(KIND_UNCOLORED, N) == threshold_numeric(KIND_UNCOLORED, 3)
+
+
+def test_warm_setup_does_not_admit_a_float_dimension():
+    # np.int64(3) == 3.0 with the same hash, so an untyped cache would hand 3.0 its entry unchecked
+    rho = projector(max_entangled_state(3))
+    bell_setup(np.int64(3))
+    for evaluate in (quantum_value, joint_click_table):
+        with pytest.raises(ValueError, match="^local dimension must be an integer, got 3.0$"):
+            evaluate(rho, 3.0)
 
 
 def ginibre_mixture(N, seed, lam):

@@ -28,17 +28,32 @@ def test_mixed_state_validation():
         mixed_state(KIND_UNCOLORED, True, 0.5)
     with pytest.raises(ValueError, match="must be an integer, got 2.7"):
         mixed_state(KIND_UNCOLORED, 2.7, 0.5)
-    # kind is checked before N, and N before lam
-    with pytest.raises(ValueError, match="unknown noise kind"):
-        mixed_state("pink", 1, 1.5)
-    with pytest.raises(ValueError, match="at least 2"):
-        mixed_state(KIND_UNCOLORED, 1, 1.5)
     for lam in (1.5, -0.1, float("nan"), "0.5", None, 1j, [0.5], np.array([0.2, 0.5])):
         with pytest.raises(ValueError, match=r"mixing weight must lie in \[0, 1\], got"):
             mixed_state(KIND_UNCOLORED, 3, lam)
     for lam in (0, 1, False, True, 0.0, 0.5, 1.0, np.float16(0.5), np.float32(0.5), np.int64(1), np.True_):
         for kind in KINDS:
             assert mixed_state(kind, 3, lam).tobytes() == mixed_state(kind, 3, float(lam)).tobytes(), (kind, lam)
+
+
+# every entry point checks kind, then N, then lam: a bad kind is named whatever
+# N is, and a bad N whatever lam is
+ENTRY_POINTS = {
+    "mixed_state": lambda kind, N: mixed_state(kind, N, 1.5),
+    "threshold_closed_form": threshold_closed_form,
+    "threshold_numeric": threshold_numeric,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "kind, message",
+    (("pink", "unknown noise kind 'pink'"), (KIND_UNCOLORED, "local dimension must be at least 2, got 1$")),
+    ids=("pink", "uncolored"),
+)
+def test_one_argument_order(entry, kind, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        entry(kind, 1)
 
 
 def test_lambda_one_recovers_pure_state():
